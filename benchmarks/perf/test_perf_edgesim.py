@@ -68,16 +68,6 @@ def test_perf_edgesim_run_with_failures(track, edgesim_setup):
     assert repeat.tasks_executed == result.tasks_executed
 
 
-def test_perf_fleet_epoch_kernel(track, edgesim_setup):
-    """Vectorized epoch kernel: tracked time plus exact-identity check."""
-    from repro.edgesim.fleet import FleetSimulator
-
-    simulator, workload, plan, nodes = edgesim_setup
-    fleet = FleetSimulator(list(simulator.nodes.values()), simulator.network)
-    result = track("edgesim_fleet_epoch_kernel", lambda: fleet.run(workload, plan))
-    assert result == simulator.run(workload, plan)
-
-
 def test_perf_fleet_open_loop_1k(track):
     """Open-loop fleet run at 1k nodes; deterministic across repeats."""
     from repro.edgesim.fleet import FleetConfig, FleetSimulator
@@ -85,12 +75,12 @@ def test_perf_fleet_open_loop_1k(track):
     config = FleetConfig(n_nodes=1000, n_regions=8, duration_s=10.0, seed=0)
 
     def run():
-        return FleetSimulator.build(config).run_fleet()
+        return FleetSimulator(config).run()
 
     result = track("edgesim_fleet_1k", run)
     assert result.completed > 0
     assert result.dropped == 0
-    repeat = FleetSimulator.build(config).run_fleet()
+    repeat = FleetSimulator(config).run()
     assert repeat.completed == result.completed
     assert repeat.events == result.events
     assert repeat.latency_p99_s == result.latency_p99_s

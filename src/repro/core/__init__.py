@@ -1,44 +1,21 @@
 """Scenarios, the DCTA system, experiment sweeps, and capacity planning.
 
-The experiment/system constructors that used to be re-exported here
-(``DCTASystem``, ``PTExperiment``, ``ScenarioConfig``, ...) are now part
-of the single top-level :mod:`repro` facade. Importing them through
-``repro.core`` still works but raises :class:`DeprecationWarning` via a
-module ``__getattr__`` shim — update imports to ``from repro import X``
-(the concrete submodules ``repro.core.experiment`` etc. remain the
-internal implementation and are not deprecated).
+The experiment/system constructors (``DCTASystem``, ``PTExperiment``,
+``ScenarioConfig``, ...) are part of the single top-level :mod:`repro`
+facade: import them with ``from repro import X``. The concrete
+submodules (``repro.core.experiment`` etc.) are the internal
+implementation.
 """
-
-import warnings
 
 from repro.core.scenario import Epoch
 from repro.core.experiment import EpochOutcome, SweepResult
 from repro.core.statistics import AggregatedSweep, aggregate_sweeps, repeat_sweep
 from repro.core.planner import bandwidth_needed, capacity_table, processors_needed
 
-#: Symbols promoted to the top-level ``repro`` facade; the package
-#: surface serves them through the deprecation shim below.
-_PROMOTED = {
-    "ScenarioConfig": "repro.core.scenario",
-    "SyntheticScenario": "repro.core.scenario",
-    "DCTASystem": "repro.core.dcta_system",
-    "DCTASystemConfig": "repro.core.dcta_system",
-    "PTExperiment": "repro.core.experiment",
-    "build_allocators": "repro.core.experiment",
-    "OnlineDCTA": "repro.core.online",
-}
-
 __all__ = [
     "Epoch",
-    "ScenarioConfig",
-    "SyntheticScenario",
-    "DCTASystem",
-    "DCTASystemConfig",
-    "PTExperiment",
     "SweepResult",
     "EpochOutcome",
-    "build_allocators",
-    "OnlineDCTA",
     "AggregatedSweep",
     "aggregate_sweeps",
     "repeat_sweep",
@@ -46,23 +23,3 @@ __all__ = [
     "bandwidth_needed",
     "capacity_table",
 ]
-
-
-def __getattr__(name: str):
-    """Deprecation shim: promoted constructors now live on ``repro``."""
-    module_name = _PROMOTED.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name} from repro.core is deprecated; "
-        f"use `from repro import {name}` (the public facade)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_PROMOTED))

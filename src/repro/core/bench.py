@@ -384,7 +384,6 @@ def run_bench(
             _bench_stacked_train(results, rounds, commit, quick, notes)
             _bench_dqn(results, rounds, commit, quick)
             _bench_rollout_batch(results, rounds, commit, quick, notes)
-            _bench_mlp_fit(results, rounds, commit, quick, notes)
             _bench_importance(results, rounds, commit, quick, jobs, notes)
             _bench_edgesim(results, rounds, commit, quick)
             _bench_fleet(results, rounds, commit, quick, notes)
@@ -582,58 +581,6 @@ def _bench_rollout_batch(results, rounds, commit, quick, notes) -> None:
     )
 
 
-def _bench_mlp_fit(results, rounds, commit, quick, notes) -> None:
-    """Fused-cache MLPRegressor training vs the naive per-batch loop.
-
-    The naive variant replays exactly what ``fit`` did before the fused
-    epoch driver — one ``train_batch`` (allocate, forward, backward) per
-    mini-batch slice — on an identically seeded network, then the two
-    parameter vectors are asserted bit-equal.
-    """
-    from repro.ml.mlp_regressor import MLPRegressor
-    from repro.ml.neural import MLP, Adam
-    from repro.ml.preprocessing import StandardScaler
-    from repro.utils.rng import as_rng
-
-    data_rng = np.random.default_rng(9)
-    X = data_rng.normal(size=(256 if quick else 512, 12))
-    y = np.sin(X @ data_rng.normal(size=12)) + 0.1 * data_rng.normal(size=X.shape[0])
-    epochs, batch_size, seed = 40 if quick else 120, 32, 3
-
-    def fused():
-        model = MLPRegressor(
-            hidden_sizes=(32, 16), epochs=epochs, batch_size=batch_size, seed=seed
-        )
-        model.fit(X, y)
-        return model.network_._flat_params.copy()
-
-    def naive():
-        scaler = StandardScaler().fit(X)
-        scaled_x = scaler.transform(X)
-        scaled_y = ((y - float(y.mean())) / (float(y.std()) or 1.0)).reshape(-1, 1)
-        network = MLP((X.shape[1], 32, 16, 1), optimizer=Adam(1e-3), seed=seed)
-        rng = as_rng(seed)
-        n = scaled_x.shape[0]
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                index = order[start : start + batch_size]
-                network.train_batch(scaled_x[index], scaled_y[index])
-        return network._flat_params.copy()
-
-    timings = _timed_interleaved({"fused": fused, "naive": naive}, rounds)
-    fused_s, fused_std, fused_params = timings["fused"]
-    naive_s, naive_std, naive_params = timings["naive"]
-    if not np.array_equal(fused_params, naive_params):
-        raise AssertionError("fused MLP training diverged from the naive loop")
-    record(results, "mlp_fit_fused", fused_s, rounds, std_s=fused_std, commit=commit)
-    record(results, "mlp_fit_naive", naive_s, rounds, std_s=naive_std, commit=commit)
-    notes.append(
-        f"fused MLP fit: {naive_s / max(fused_s, 1e-9):.2f}x over naive loop "
-        "(parameters bit-identical)"
-    )
-
-
 def dqn_bench_workloads(quick: bool = True) -> dict:
     """Name → zero-arg callable for the single-process DQN kernel benches.
 
@@ -794,55 +741,13 @@ def _bench_edgesim(results, rounds, commit, quick) -> None:
 
 
 def _bench_fleet(results, rounds, commit, quick, notes) -> None:
-    """Vectorized fleet engine: epoch-kernel speedup plus 10k/100k scale runs.
+    """Vectorized fleet engine at 10k and 100k nodes.
 
-    The kernel entry interleaves ``FleetSimulator.run`` against the
-    reference ``EdgeSimulator.run`` on the same testbed workload and
-    asserts the results are identical before recording. The scale entries
-    run the open-loop fleet at 10k and 100k nodes (regions and arrival
-    rate scaled together so the access radio sits at the same ~60%
-    utilization as the defaults) and record events/sec and process
-    peak-RSS as informational extras.
+    Regions and arrival rate are scaled together so the access radio sits
+    at the same ~60% utilization as the defaults; events/sec and process
+    peak-RSS are recorded as informational extras.
     """
     from repro.edgesim.fleet import FleetConfig, FleetSimulator
-    from repro.edgesim.simulator import EdgeSimulator, ExecutionPlan
-    from repro.edgesim.workload import WorkloadGenerator
-
-    nodes, network = scaled_testbed(6)
-    workload = WorkloadGenerator(n_tasks=24 if quick else 50, seed=11).draw()
-    ordered = sorted(workload, key=lambda t: t.true_importance, reverse=True)
-    plan = ExecutionPlan(
-        assignments=tuple(
-            (task.task_id, i % len(nodes)) for i, task in enumerate(ordered)
-        ),
-        label="bench-fleet",
-    )
-    fast = FleetSimulator(nodes, network)
-    reference = EdgeSimulator(nodes, network)
-    timings = _timed_interleaved(
-        {
-            "fleet": lambda: fast.run(workload, plan),
-            "reference": lambda: reference.run(workload, plan),
-        },
-        rounds,
-    )
-    fleet_s, fleet_std, fleet_result = timings["fleet"]
-    ref_s, _, ref_result = timings["reference"]
-    if fleet_result != ref_result:
-        raise AssertionError("fleet epoch kernel diverged from EdgeSimulator")
-    speedup = ref_s / max(fleet_s, 1e-9)
-    record(
-        results,
-        "edgesim_fleet_epoch_kernel",
-        fleet_s,
-        rounds,
-        std_s=fleet_std,
-        commit=commit,
-        extra={"speedup_vs_reference": round(speedup, 3)},
-    )
-    notes.append(
-        f"fleet epoch kernel: {speedup:.2f}x over EdgeSimulator (results identical)"
-    )
 
     # Scale tier: regions sized so each hosts ~125 nodes; arrival rate
     # keeps the per-region radio at the same utilization as the defaults
@@ -857,11 +762,11 @@ def _bench_fleet(results, rounds, commit, quick, notes) -> None:
             churn_rate_hz=2.0,
             seed=0,
         )
-        simulator = FleetSimulator.build(config)
+        simulator = FleetSimulator(config)
         # One round per scale point: the run is seconds long and the
         # extras (events/sec, RSS) matter more than timing variance.
         scale_rounds = 1
-        mean_s, std_s, fleet_run = _timed(simulator.run_fleet, scale_rounds)
+        mean_s, std_s, fleet_run = _timed(simulator.run, scale_rounds)
         rss_mib = peak_rss_mib()
         record(
             results,

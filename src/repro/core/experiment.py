@@ -27,7 +27,7 @@ from repro.allocation.random_mapping import RandomMapping
 from repro.core.scenario import Epoch, ScenarioConfig, SyntheticScenario
 from repro.edgesim.node import EdgeNode
 from repro.edgesim.network import StarNetwork
-from repro.edgesim.fleet import FleetSimulator
+from repro.edgesim.simulator import EdgeSimulator
 from repro.edgesim.testbed import scaled_testbed
 from repro.errors import DataError
 from repro.rl.crl import CRLModel
@@ -245,7 +245,7 @@ class PTExperiment:
         *,
         workload_transform: Callable | None = None,
     ) -> dict[str, float]:
-        simulator = FleetSimulator(nodes, network, quality_threshold=self.quality_threshold)
+        simulator = EdgeSimulator(nodes, network, quality_threshold=self.quality_threshold)
         registry = get_registry()
         sums: dict[str, float] = {name: 0.0 for name in allocators}
         plan_seconds: dict[str, float] = {name: 0.0 for name in allocators}

@@ -17,7 +17,7 @@ import numpy as np
 from repro.allocation.base import Allocator, EpochContext
 from repro.allocation.oracle import OracleAllocator
 from repro.core.scenario import SyntheticScenario
-from repro.edgesim.fleet import FleetSimulator
+from repro.edgesim.simulator import EdgeSimulator
 from repro.edgesim.testbed import scaled_testbed
 from repro.errors import ConfigurationError, DataError
 
@@ -30,7 +30,7 @@ def _mean_pt(
     quality_threshold: float,
 ) -> float:
     nodes, network = scaled_testbed(n_processors, bandwidth_mbps=bandwidth_mbps)
-    simulator = FleetSimulator(nodes, network, quality_threshold=quality_threshold)
+    simulator = EdgeSimulator(nodes, network, quality_threshold=quality_threshold)
     times = []
     for epoch in scenario.eval_epochs:
         workload = scenario.workload_for(epoch)

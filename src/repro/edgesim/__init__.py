@@ -11,16 +11,15 @@ completed tasks' cumulative *true* importance crosses a credibility
 threshold — the mechanism by which importance-aware allocators finish
 earlier than importance-blind ones.
 
-Two engines share that timing model. :class:`EdgeSimulator` is the
-reference per-event loop; :class:`FleetSimulator` is the vectorized
-structure-of-arrays engine that reproduces the reference exactly on the
-testbed epoch workload (``run``) and additionally scales to open-loop
-fleets of 10k-100k nodes with hierarchical regional topologies, node
-churn, and O(nodes + windows) streaming metrics (``run_fleet``).
-:func:`run_fleet_sharded` takes the fleet engine multiprocess: region
-groups run as independent conservative-DES shards on the worker pool
-and merge into one bitwise-deterministic :class:`FleetResult`, opening
-the 1M+ node regime.
+:class:`EdgeSimulator` is the one engine for that epoch, including
+node failures and task dependencies. :class:`FleetSimulator` applies the
+same timing model to open-loop fleets of 10k-100k nodes with
+hierarchical regional topologies, node churn, and O(nodes + windows)
+streaming metrics; it simulates a stream of arrivals, not a decision
+epoch. :func:`run_fleet_sharded` takes the fleet engine multiprocess:
+region groups run as independent conservative-DES shards on the worker
+pool and merge into one bitwise-deterministic :class:`FleetResult`,
+opening the 1M+ node regime.
 """
 
 from repro.edgesim.node import EdgeNode, NODE_PRESETS, make_node

@@ -1,61 +1,42 @@
-"""Fleet-scale edge simulation: SoA node state + batched calendar kernel.
+"""Open-loop fleet simulation: SoA node state + batched calendar kernel.
 
-Two engines share this module:
+:class:`FleetSimulator` is the fleet-scale mode of the edge simulator:
+10k–1M nodes in hierarchical
+:class:`~repro.edgesim.network.RegionalNetwork` topologies, open-loop
+arrivals from :mod:`repro.serve.samplers`, node churn with the
+re-dispatch semantics of the epoch simulator (lost work is re-shipped to
+a surviving node), and streaming metrics through
+:class:`~repro.telemetry.timeseries.TimeSeriesAggregator`. Node state
+lives in preallocated numpy columns; homogeneous event cohorts (arrivals,
+transfer completions, execution completions) are popped from the
+calendar as batches and applied with vectorized kernels, so throughput is
+dominated by numpy, not the interpreter, and memory is
+O(nodes + in-flight tasks + windows) — never O(events). Cohorts never
+span calendar buckets, so the only relaxation versus strict per-event
+interleaving is bounded by ``bucket_s`` and fully deterministic.
 
-1. **Epoch identity kernel** (:meth:`FleetSimulator.run`) — a drop-in
-   replacement for :class:`~repro.edgesim.simulator.EdgeSimulator` on the
-   paper's testbed. Per-task transfer and execution times are precomputed
-   as vectorized numpy columns (bitwise-identical to the scalar
-   arithmetic, since ``latency + size / bw`` and ``(mb * 1e6) * s_per_bit``
-   are the same IEEE-754 operations elementwise), events drain as lean
-   ``(time, seq, kind, position)`` tuples in exactly ``EdgeSimulator``'s
-   (time, insertion-sequence) order, and the run
-   returns the moment the quality gate crosses — events still in flight
-   after the gate provably cannot change the :class:`SimResult`, so the
-   early exit is free speedup with *exact* result identity (asserted by
-   the identity test tier and the ``edgesim_fleet_epoch_kernel`` bench).
-
-2. **Open-loop fleet engine** (:meth:`FleetSimulator.run_fleet`) — the
-   ROADMAP's fleet-scale mode: 10k–1M nodes in hierarchical
-   :class:`~repro.edgesim.network.RegionalNetwork` topologies, open-loop
-   arrivals from :mod:`repro.serve.samplers`, node churn with the
-   re-dispatch semantics of the epoch simulator (lost work is re-shipped
-   to a surviving node), and streaming metrics through
-   :class:`~repro.telemetry.timeseries.TimeSeriesAggregator`. Node state
-   lives in preallocated numpy columns; homogeneous event cohorts
-   (arrivals, transfer completions, execution completions) are popped
-   from the calendar as batches and applied with vectorized kernels, so
-   throughput is dominated by numpy, not the interpreter, and memory is
-   O(nodes + in-flight tasks + windows) — never O(events). Cohorts never
-   span calendar buckets, so the only relaxation versus strict per-event
-   interleaving is bounded by ``bucket_s`` and fully deterministic.
+The paper's single decision epoch on the 10-node testbed (Figs. 9–11)
+is not simulated here: :class:`~repro.edgesim.simulator.EdgeSimulator`
+is the one epoch engine.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.edgesim.events import CalendarQueue
 from repro.edgesim.network import RegionalNetwork
-from repro.edgesim.node import NODE_PRESETS, EdgeNode
-from repro.edgesim.simulator import EdgeSimulator, ExecutionPlan, SimResult
-from repro.edgesim.workload import FleetWorkload, SimTask
-from repro.errors import ConfigurationError, DataError
+from repro.edgesim.node import NODE_PRESETS
+from repro.edgesim.workload import FleetWorkload
+from repro.errors import ConfigurationError
 from repro.serve.samplers import make_sampler
 from repro.telemetry import get_registry, span
 from repro.telemetry.bridge import sim_time_aggregator
 from repro.telemetry.instruments import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.telemetry.timeseries import TimeSeriesAggregator, estimate_quantile
 from repro.utils.rng import as_rng, derive_seeds
-
-# Epoch-kernel event kinds (mirror EdgeSimulator's string kinds).
-_K_INPUT = 0
-_K_EXEC = 1
-_K_RESULT = 2
 
 # Fleet-engine event kinds.
 _F_ARRIVAL = 0
@@ -259,69 +240,27 @@ class _SlotPool:
 
 
 class FleetSimulator:
-    """SoA discrete-event engine: epoch-identical and fleet-scale modes.
+    """Open-loop fleet engine over structure-of-arrays node state.
 
-    Construct from node objects for the drop-in epoch engine
-    (``FleetSimulator(nodes, network)`` — same signature and semantics as
-    :class:`EdgeSimulator`), or from a :class:`FleetConfig` via
-    :meth:`build` for the open-loop fleet engine, which never materializes
-    per-node objects.
+    Node state lives in numpy columns built from a :class:`FleetConfig`;
+    no per-node objects are materialized. ``s_per_bit`` and ``region``
+    override the default round-robin preset/region columns: the sharded
+    runner passes slices of the whole-fleet columns (attached zero-copy
+    from shared memory) so each region group sees exactly the node
+    population it would own in a single-process run. Callers passing
+    ``region`` are responsible for it being 0-based and dense over
+    ``config.n_regions``.
     """
-
-    #: Fixed decision-aggregation overhead once the gate is crossed.
-    AGGREGATION_TIME = EdgeSimulator.AGGREGATION_TIME
 
     def __init__(
         self,
-        nodes: Sequence[EdgeNode],
-        network,
-        *,
-        quality_threshold: float = 0.8,
-        bucket_s: float = 1.0,
-    ) -> None:
-        if not nodes:
-            raise ConfigurationError("simulator needs at least one node")
-        if not 0.0 < quality_threshold <= 1.0:
-            raise ConfigurationError(
-                f"quality_threshold must be in (0, 1], got {quality_threshold}"
-            )
-        self.nodes = {node.node_id: node for node in nodes}
-        if len(self.nodes) != len(nodes):
-            raise ConfigurationError("node ids must be unique")
-        self.network = network
-        self.quality_threshold = float(quality_threshold)
-        self._bucket_s = float(bucket_s)
-        self._config: FleetConfig | None = None
-        self._reference_sim: EdgeSimulator | None = None
-
-    # ------------------------------------------------------------------
-    # Fleet construction: columns only, no EdgeNode objects.
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
         config: FleetConfig,
         *,
         s_per_bit: np.ndarray | None = None,
         region: np.ndarray | None = None,
-    ) -> "FleetSimulator":
-        """A fleet-mode simulator whose node state is numpy columns.
-
-        ``s_per_bit`` and ``region`` override the default round-robin
-        preset/region columns; the sharded runner passes slices of the
-        whole-fleet columns (attached zero-copy from shared memory) so
-        each region group sees exactly the node population it would own
-        in a single-process run. Callers passing ``region`` are
-        responsible for it being 0-based and dense over
-        ``config.n_regions``.
-        """
-        sim = cls.__new__(cls)
-        sim.nodes = {}
-        sim.network = config.network or RegionalNetwork(n_regions=config.n_regions)
-        sim.quality_threshold = 0.8
-        sim._bucket_s = float(config.bucket_s)
-        sim._config = config
-        sim._reference_sim = None
+    ) -> None:
+        self.network = config.network or RegionalNetwork(n_regions=config.n_regions)
+        self._config = config
         n = config.n_nodes
         if s_per_bit is None:
             rates = np.asarray(
@@ -342,222 +281,16 @@ class FleetSimulator:
                 raise ConfigurationError(
                     f"region column has {len(region)} entries, config says {n}"
                 )
-        sim._c_s_per_bit = s_per_bit
-        sim._c_region = region
-        sim._c_alive = np.ones(n, dtype=bool)
-        sim._c_incarnation = np.zeros(n, dtype=np.int64)
-        sim._c_busy_until = np.zeros(n, dtype=np.float64)
-        sim._region_nodes = [
-            np.flatnonzero(sim._c_region == r) for r in range(config.n_regions)
+        self._c_s_per_bit = s_per_bit
+        self._c_region = region
+        self._c_alive = np.ones(n, dtype=bool)
+        self._c_incarnation = np.zeros(n, dtype=np.int64)
+        self._c_busy_until = np.zeros(n, dtype=np.float64)
+        self._region_nodes = [
+            np.flatnonzero(self._c_region == r) for r in range(config.n_regions)
         ]
-        sim._region_rr = [0] * config.n_regions
-        return sim
+        self._region_rr = [0] * config.n_regions
 
-    # ------------------------------------------------------------------
-    # Epoch mode: exact EdgeSimulator semantics.
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        tasks: Sequence[SimTask],
-        plan: ExecutionPlan,
-        *,
-        failures: dict[int, float] | None = None,
-        dependencies=None,
-    ) -> SimResult:
-        """Simulate one epoch; exact :meth:`EdgeSimulator.run` semantics.
-
-        The churn-free, dependency-free case (the Figs. 9–11 benchmark
-        configuration) runs on the batched kernel with precomputed timing
-        columns and gate-crossing early exit; runs with ``failures`` or
-        ``dependencies`` delegate to the reference event loop so the
-        corner semantics stay single-sourced. Both paths emit the same
-        telemetry envelope as ``EdgeSimulator.run``.
-        """
-        with span("edgesim.run", plan=plan.label, tasks=len(tasks)):
-            if failures or dependencies is not None:
-                result = self._reference()._run(
-                    tasks, plan, failures=failures, dependencies=dependencies
-                )
-            else:
-                result = self._run_epoch(tasks, plan)
-        registry = get_registry()
-        registry.counter(
-            "repro_edgesim_runs_total", help="Simulated decision epochs", plan=plan.label
-        ).inc()
-        registry.counter(
-            "repro_edgesim_tasks_executed_total",
-            help="Tasks whose results reached the controller before the decision",
-            plan=plan.label,
-        ).inc(result.tasks_executed)
-        if result.gate_crossed:
-            registry.histogram(
-                "repro_edgesim_pt_seconds",
-                help="Processing Time PT = t_s - t_c (simulated seconds)",
-                plan=plan.label,
-            ).observe(result.processing_time)
-        else:
-            registry.counter(
-                "repro_edgesim_gate_misses_total",
-                help="Epochs whose quality gate never closed (PT = inf)",
-                plan=plan.label,
-            ).inc()
-        return result
-
-    def _reference(self) -> EdgeSimulator:
-        if not self.nodes:
-            raise ConfigurationError(
-                "epoch runs need a node-constructed FleetSimulator; this one was "
-                "built from a FleetConfig"
-            )
-        if self._reference_sim is None:
-            self._reference_sim = EdgeSimulator(
-                list(self.nodes.values()),
-                self.network,
-                quality_threshold=self.quality_threshold,
-            )
-        return self._reference_sim
-
-    def _run_epoch(self, tasks: Sequence[SimTask], plan: ExecutionPlan) -> SimResult:
-        """The fast epoch kernel (no churn, no dependencies).
-
-        A faithful transcription of ``EdgeSimulator._run`` over plan
-        positions instead of task objects: per-position transfer and
-        execution durations are precomputed in one vectorized pass, events
-        are plain ``(time, seq, kind, position)`` tuples on a heap (the
-        identical (time, insertion-sequence) total order, without the
-        per-event dataclass and payload overhead), and the loop returns at
-        the gate crossing — every event still in flight at that point only
-        toggles link/node bookkeeping and can no longer reach the result
-        dict, so ``SimResult`` is bit-for-bit the reference one. Epoch
-        streams are tiny and strictly interleaved, so scalar pops in exact
-        order are the right kernel here; cohort batching lives in
-        :meth:`run_fleet`, where open-loop streams make cohorts wide.
-        """
-        if not self.nodes:
-            raise ConfigurationError(
-                "epoch runs need a node-constructed FleetSimulator; this one was "
-                "built from a FleetConfig"
-            )
-        task_by_id = {task.task_id: task for task in tasks}
-        for task_id, node_id in plan.assignments:
-            if task_id not in task_by_id:
-                raise DataError(f"plan references unknown task {task_id}")
-            if node_id not in self.nodes:
-                raise DataError(f"plan references unknown node {node_id}")
-
-        total_importance = float(sum(t.true_importance for t in task_by_id.values()))
-        gate_target = self.quality_threshold * total_importance
-
-        n = len(plan.assignments)
-        tid = [t for t, _ in plan.assignments]
-        nid = [node for _, node in plan.assignments]
-        importance = [task_by_id[t].true_importance for t in tid]
-        input_mbit = np.asarray([task_by_id[t].input_mb for t in tid], dtype=np.float64)
-        result_mbit = np.asarray([task_by_id[t].result_mb for t in tid], dtype=np.float64)
-        s_per_bit = np.asarray(
-            [self.nodes[node].compute_s_per_bit for node in nid], dtype=np.float64
-        )
-        latency = self.network.latency_s
-        bandwidth = self.network.bandwidth_mbps
-        # Elementwise `lat + size / bw` and `(mb * 1e6) * s_per_bit` are the
-        # same IEEE-754 double ops as the scalar transfer_time /
-        # execution_time calls — identity depends on this.
-        input_tt = (latency + input_mbit / bandwidth).tolist()
-        result_tt = (latency + result_mbit / bandwidth).tolist()
-        exec_tt = ((input_mbit * 1e6) * s_per_bit).tolist()
-
-        heap: list[tuple[float, int, int, int]] = []
-        sequence = 0
-        now = plan.allocation_time
-        pending_inputs: list[int] = list(range(n))
-        pending_results: list[int] = []
-        shared_medium = bool(getattr(self.network, "shared_medium", True))
-        link_busy: dict[object, bool] = {}
-        node_queues: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
-        node_busy: dict[int, bool] = {node_id: False for node_id in self.nodes}
-        achieved = 0.0
-        completed: dict[int, float] = {}
-        decision_time: float | None = None
-        cancelled = False
-
-        def link_of(node_id: int, kind: int):
-            if shared_medium:
-                return "shared"
-            return (node_id, kind)
-
-        def start_next_transfer() -> None:
-            nonlocal sequence
-            for queue_list, kind in ((pending_results, _K_RESULT), (pending_inputs, _K_INPUT)):
-                if kind == _K_INPUT and cancelled:
-                    continue
-                index = 0
-                while index < len(queue_list):
-                    position = queue_list[index]
-                    link = link_of(nid[position], kind)
-                    if link_busy.get(link, False):
-                        index += 1
-                        continue
-                    queue_list.pop(index)
-                    link_busy[link] = True
-                    duration = result_tt[position] if kind == _K_RESULT else input_tt[position]
-                    heapq.heappush(heap, (now + duration, sequence, kind, position))
-                    sequence += 1
-
-        def start_next_execution(node_id: int) -> None:
-            nonlocal sequence
-            if node_busy[node_id] or cancelled or not node_queues[node_id]:
-                return
-            position = node_queues[node_id].pop(0)
-            node_busy[node_id] = True
-            heapq.heappush(heap, (now + exec_tt[position], sequence, _K_EXEC, position))
-            sequence += 1
-
-        start_next_transfer()
-        while heap:
-            event_time, _seq, kind, position = heapq.heappop(heap)
-            if event_time > now:
-                now = event_time
-            node_id = nid[position]
-            if kind == _K_INPUT:
-                link_busy[link_of(node_id, _K_INPUT)] = False
-                node_queues[node_id].append(position)
-                start_next_execution(node_id)
-                start_next_transfer()
-            elif kind == _K_EXEC:
-                node_busy[node_id] = False
-                pending_results.append(position)
-                start_next_transfer()
-                start_next_execution(node_id)
-            else:  # _K_RESULT
-                link_busy[link_of(node_id, _K_RESULT)] = False
-                if decision_time is None:
-                    completed[tid[position]] = now
-                    achieved += importance[position]
-                    if achieved >= gate_target - 1e-12:
-                        decision_time = now + self.AGGREGATION_TIME
-                        # Gate crossed: pending inputs are cancelled and
-                        # every event still in flight can only toggle
-                        # link/node state — the result is final.
-                        break
-                start_next_transfer()
-
-        if decision_time is not None:
-            processing_time = decision_time
-            gate_crossed = True
-        else:
-            processing_time = float("inf")
-            gate_crossed = False
-        return SimResult(
-            processing_time=processing_time,
-            tasks_executed=len(completed),
-            importance_achieved=float(achieved),
-            gate_crossed=gate_crossed,
-            completion_times=completed,
-        )
-
-    # ------------------------------------------------------------------
-    # Fleet mode: open-loop arrivals, churn, streaming metrics.
-    # ------------------------------------------------------------------
     def _pick_nodes(self, region: int, k: int) -> np.ndarray:
         """Round-robin ``k`` alive nodes of ``region`` (-1 = region down)."""
         members = self._region_nodes[region]
@@ -574,7 +307,7 @@ class FleetSimulator:
             chosen[dead] = alive_members[(pointer + dead) % len(alive_members)]
         return chosen
 
-    def run_fleet(self, *, trace=None) -> FleetResult:
+    def run(self, *, trace=None) -> FleetResult:
         """Run the open-loop fleet simulation described by the config.
 
         ``trace`` is an optional event sink with an ``add(TraceEvent)``
@@ -584,15 +317,11 @@ class FleetSimulator:
         task id). Tracing costs a Python loop over completions, so it is
         off by default; memory stays bounded by the sink, never O(events).
         """
-        if self._config is None:
-            raise ConfigurationError(
-                "run_fleet needs a FleetSimulator.build(FleetConfig) instance"
-            )
         config = self._config
         with span(
             "edgesim.fleet_run", nodes=config.n_nodes, duration_s=config.duration_s
         ):
-            result = self._run_fleet(config, trace=trace)
+            result = self._run_fleet(trace=trace)
         registry = get_registry()
         registry.counter(
             "repro_edgesim_fleet_runs_total", help="Open-loop fleet simulations"
@@ -603,7 +332,8 @@ class FleetSimulator:
         ).inc(result.events)
         return result
 
-    def _run_fleet(self, config: FleetConfig, *, trace=None, barrier=None) -> FleetResult:
+    def _run_fleet(self, *, trace=None, barrier=None) -> FleetResult:
+        config = self._config
         network: RegionalNetwork = self.network
         n_regions = config.n_regions
         arrival_seed, workload_seed, churn_seed, churn_node_seed = derive_seeds(

@@ -39,7 +39,7 @@ takes the same engine to the whole machine:
   ``tests/edgesim/test_shard.py``). Note the decomposition itself is a
   different sampling regime than the unsharded engine (each group draws
   its own thinned arrival stream), so sharded results are compared
-  against sharded results, never against ``run_fleet``.
+  against sharded results, never against ``FleetSimulator.run``.
 
 - **Transport.** Worker processes come from the persistent
   :class:`~repro.parallel.pool.WorkerPool`; the whole-fleet node columns
@@ -248,14 +248,14 @@ def _run_group(spec: _GroupSpec, columns: dict) -> _GroupOutcome:
     region = columns["region"]
     last = spec.first_region + spec.config.n_regions
     ids = np.flatnonzero((region >= spec.first_region) & (region < last))
-    sim = FleetSimulator.build(
+    sim = FleetSimulator(
         spec.config,
         s_per_bit=columns["s_per_bit"][ids],
         region=region[ids] - spec.first_region,
     )
     window_s = _lookahead_window(spec.config)
     barrier = LookaheadBarrier(window_s) if math.isfinite(window_s) else None
-    result = sim._run_fleet(spec.config, barrier=barrier)
+    result = sim._run_fleet(barrier=barrier)
     return _GroupOutcome(
         index=spec.index,
         arrivals=result.arrivals,

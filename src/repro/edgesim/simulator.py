@@ -81,6 +81,9 @@ class SimResult:
         Whether the credibility threshold was reached.
     completion_times:
         task_id -> result-arrival time for completed tasks.
+    completion_nodes:
+        task_id -> node whose result was counted. Differs from the plan's
+        node for tasks re-dispatched after a failure.
     """
 
     processing_time: float
@@ -88,6 +91,7 @@ class SimResult:
     importance_achieved: float
     gate_crossed: bool
     completion_times: dict[int, float] = field(default_factory=dict)
+    completion_nodes: dict[int, int] = field(default_factory=dict)
 
 
 class EdgeSimulator:
@@ -214,6 +218,7 @@ class EdgeSimulator:
         alive: set[int] = set(self.nodes)
         achieved = 0.0
         completed: dict[int, float] = {}
+        completed_on: dict[int, int] = {}
         decision_time: float | None = None
         cancelled = False
 
@@ -334,6 +339,7 @@ class EdgeSimulator:
                     # were already in flight; they did not contribute to PT
                     # or to the decision, so they are not counted.
                     completed[task_id] = queue.now
+                    completed_on[task_id] = node_id
                     achieved += task_by_id[task_id].true_importance
                     if achieved >= gate_target - 1e-12:
                         decision_time = queue.now + self.AGGREGATION_TIME
@@ -365,4 +371,5 @@ class EdgeSimulator:
             importance_achieved=float(achieved),
             gate_crossed=gate_crossed,
             completion_times=completed,
+            completion_nodes=completed_on,
         )

@@ -257,9 +257,10 @@ class TracingSimulator:
 
     Rather than instrumenting the DES (which would entangle measurement
     with mechanics), the tracer *replays* the completed run: from the
-    result's completion times and the deterministic plan it re-derives
-    each task's transfer and execution spans using the same timing model.
-    Only completed tasks appear in the trace.
+    result's completion times and the node each counted result came from
+    (which, under ``failures=``, may not be the planned node) it
+    re-derives each task's transfer and execution spans using the same
+    timing model. Only completed tasks appear in the trace.
     """
 
     def __init__(self, simulator: EdgeSimulator, *, max_events: int | None = None) -> None:
@@ -273,23 +274,18 @@ class TracingSimulator:
         **kwargs,
     ) -> tuple[SimResult, Trace]:
         result = self.simulator.run(tasks, plan, **kwargs)
-        trace = self._reconstruct(tasks, plan, result)
+        trace = self._reconstruct(tasks, result)
         if current_run_trace() is not None:
             record_edgesim_trace(trace, label=plan.label)
         return result, trace
 
-    def _reconstruct(
-        self, tasks: Sequence[SimTask], plan: ExecutionPlan, result: SimResult
-    ) -> Trace:
+    def _reconstruct(self, tasks: Sequence[SimTask], result: SimResult) -> Trace:
         task_by_id = {task.task_id: task for task in tasks}
-        node_of = dict(plan.assignments)
         network: StarNetwork = self.simulator.network
         trace = Trace(max_events=self.max_events)
         for task_id, arrival in sorted(result.completion_times.items(), key=lambda kv: kv[1]):
             task = task_by_id[task_id]
-            node_id = node_of.get(task_id)
-            if node_id is None:
-                continue
+            node_id = result.completion_nodes[task_id]
             node = self.simulator.nodes[node_id]
             result_span = network.transfer_time(task.result_mb)
             exec_span = node.execution_time(task.input_mb)

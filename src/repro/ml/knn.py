@@ -17,7 +17,7 @@ from repro.utils.validation import check_fitted, check_positive, check_same_leng
 
 
 def pairwise_distances(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of shape (n_queries, n_references)."""
+    """Euclidean distance matrix: one row per query, one column per reference."""
     queries = as_2d(queries)
     references = as_2d(references)
     if queries.shape[1] != references.shape[1]:

@@ -68,16 +68,12 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
             )
         scaled_x = self._scaler.transform(features)
         scaled_y = ((targets - self._target_mean) / self._target_scale).reshape(-1, 1)
-        # Fused-cache epoch driver: same permutations, same minibatch
-        # arithmetic as the naive train_batch loop, without re-allocating
-        # forward/backward buffers every step (byte-identical parameters).
-        self.network_.train_epochs(
-            scaled_x,
-            scaled_y,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rng=as_rng(self.seed),
-        )
+        rng = as_rng(self.seed)
+        for _ in range(self.epochs):
+            order = rng.permutation(len(scaled_x))
+            for start in range(0, len(scaled_x), self.batch_size):
+                index = order[start : start + self.batch_size]
+                self.network_.train_batch(scaled_x[index], scaled_y[index])
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -215,34 +215,24 @@ class MLP:
         self._delta_buffers: dict[int, list[np.ndarray]] = getattr(
             self, "_delta_buffers", {}
         )
-        self._io_buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     # ------------------------------------------------------------------
-    def forward(
-        self, X: np.ndarray, *, cache: bool = False, reuse: bool = False
-    ) -> np.ndarray:
+    def forward(self, X: np.ndarray, *, cache: bool = False) -> np.ndarray:
         """Forward pass; returns the linear outputs (no softmax).
 
         With ``cache=True`` the layer activations are kept so a following
         :meth:`train_from_cache` can backpropagate without re-running this
         forward. The cache is consumed by that call; do not mutate the
         returned outputs in between.
-
-        With ``reuse=True`` the per-layer pre-activation/activation arrays
-        come from preallocated per-batch-size buffers instead of fresh
-        allocations (values are bit-for-bit the same). The returned array
-        and any cached activations are overwritten by the next
-        ``reuse=True`` call of the same batch size, so consume them first
-        — the training loops do.
         """
         outputs, pre_activations, activations = self._forward_cached(
-            np.asarray(X, dtype=float), reuse=reuse
+            np.asarray(X, dtype=float)
         )
         if cache:
             self._forward_cache = (outputs, pre_activations, activations)
         return outputs
 
-    def _forward_cached(self, X: np.ndarray, *, reuse: bool = False):
+    def _forward_cached(self, X: np.ndarray):
         if X.ndim == 1:
             X = X.reshape(1, -1)
         if X.shape[1] != self.layer_sizes[0]:
@@ -254,22 +244,10 @@ class MLP:
         activations = [X]
         hidden = X
         last = len(self.weights) - 1
-        z_buffers, a_buffers = self._io_for(X.shape[0]) if reuse else (None, None)
         for i, (weight, bias) in enumerate(zip(self.weights, self.biases)):
-            if reuse:
-                z = np.matmul(hidden, weight, out=z_buffers[i])
-                z += bias
-            else:
-                z = hidden @ weight + bias
+            z = hidden @ weight + bias
             pre_activations.append(z)
-            if i == last:
-                hidden = z
-            elif reuse and self.activation == "relu":
-                hidden = np.maximum(z, 0.0, out=a_buffers[i])
-            elif reuse and self.activation == "tanh":
-                hidden = np.tanh(z, out=a_buffers[i])
-            else:
-                hidden = act(z)
+            hidden = z if i == last else act(z)
             activations.append(hidden)
         return hidden, pre_activations, activations
 
@@ -308,23 +286,6 @@ class MLP:
             if len(self._delta_buffers) > 8:  # e.g. a sweep of odd batch sizes
                 self._delta_buffers.clear()
             self._delta_buffers[batch] = buffers
-        return buffers
-
-    def _io_for(self, batch: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer forward scratch (pre-activations, activations) per batch size."""
-        buffers = self._io_buffers.get(batch)
-        if buffers is None:
-            z_buffers = [
-                np.empty((batch, width), dtype=float) for width in self.layer_sizes[1:]
-            ]
-            a_buffers = [
-                np.empty((batch, width), dtype=float)
-                for width in self.layer_sizes[1:-1]
-            ]
-            if len(self._io_buffers) > 8:
-                self._io_buffers.clear()
-            buffers = (z_buffers, a_buffers)
-            self._io_buffers[batch] = buffers
         return buffers
 
     def train_batch(self, X: np.ndarray, targets: np.ndarray) -> float:
@@ -368,48 +329,6 @@ class MLP:
                 delta = previous
         self.optimizer.step([self._flat_params], [self._flat_grads])
         return loss
-
-    def train_epochs(
-        self, X: np.ndarray, targets: np.ndarray, *, epochs: int, batch_size: int, rng
-    ) -> None:
-        """Fused mini-batch training: ``epochs`` shuffled passes over (X, y).
-
-        Equivalent to the naive ``for each epoch: for each slice:
-        train_batch(X[idx], y[idx])`` loop — RNG consumption (one
-        permutation per epoch) and every arithmetic op are identical, so
-        the trained parameters are bit-for-bit the same — but the index
-        gathers run through ``np.take(..., out=...)`` into preallocated
-        batch buffers and the forward reuses its activation scratch,
-        removing the per-step allocations that dominate small batches.
-        """
-        if epochs < 1 or batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
-        X = np.asarray(X, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim == 1:
-            targets = targets.reshape(-1, 1)
-        if X.ndim != 2 or X.shape[0] != targets.shape[0]:
-            raise DataError(
-                f"X {X.shape} and targets {targets.shape} must share rows"
-            )
-        n = X.shape[0]
-        gathers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(int(epochs)):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                index = order[start : start + batch_size]
-                pair = gathers.get(index.size)
-                if pair is None:
-                    pair = (
-                        np.empty((index.size, X.shape[1]), dtype=float),
-                        np.empty((index.size, targets.shape[1]), dtype=float),
-                    )
-                    gathers[index.size] = pair
-                batch_x, batch_y = pair
-                X.take(index, axis=0, out=batch_x)
-                targets.take(index, axis=0, out=batch_y)
-                self.forward(batch_x, cache=True, reuse=True)
-                self.train_from_cache(batch_y)
 
     # ------------------------------------------------------------------
     def get_parameters(self) -> list[np.ndarray]:

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from repro.edgesim.fleet import FleetConfig, FleetSimulator, _fifo_ends, _SlotPool
-from repro.edgesim.network import RegionalNetwork, StarNetwork
+from repro.edgesim.network import RegionalNetwork
 from repro.errors import ConfigurationError
 
 
 def _run(**overrides):
     defaults = dict(n_nodes=400, n_regions=4, duration_s=20.0, seed=1)
     defaults.update(overrides)
-    return FleetSimulator.build(FleetConfig(**defaults)).run_fleet()
+    return FleetSimulator(FleetConfig(**defaults)).run()
 
 
 class TestFleetConfig:
@@ -94,11 +94,12 @@ class TestFleetRun:
         result = _run(duration_s=30.0)
         assert 0 < result.peak_in_flight < result.arrivals
 
-    def test_run_fleet_requires_build(self):
-        nodes = [__import__("repro.edgesim.node", fromlist=["make_node"]).make_node("rpi-b", 0)]
-        simulator = FleetSimulator(nodes, StarNetwork())
+    def test_node_columns_must_match_config(self):
+        config = FleetConfig(n_nodes=8, n_regions=2)
         with pytest.raises(ConfigurationError):
-            simulator.run_fleet()
+            FleetSimulator(config, s_per_bit=np.ones(7))
+        with pytest.raises(ConfigurationError):
+            FleetSimulator(config, region=np.zeros(9, dtype=np.int64))
 
 
 class TestFleetMemory:
@@ -120,9 +121,9 @@ class TestFleetMemory:
                 chunk=512,
                 seed=3,
             )
-            simulator = FleetSimulator.build(config)
+            simulator = FleetSimulator(config)
             tracemalloc.start()
-            result = simulator.run_fleet()
+            result = simulator.run()
             _current, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert result.completed > 0

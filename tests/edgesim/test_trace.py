@@ -61,6 +61,29 @@ class TestTracingSimulator:
         executions = [e for e in trace.for_node(0) if e.kind == "execution"]
         assert all(e.node_id == 0 for e in executions)
 
+    def test_redispatched_tasks_traced_on_their_survivor(self):
+        """A task re-dispatched after its planned node died is drawn on the
+        node that actually produced its result, not the dead planned one."""
+        nodes = [make_node("rpi-b", 0), make_node("laptop", 1), make_node("rpi-a+", 2)]
+        tasks = [
+            SimTask(i, input_mb=5.0, memory_mb=10.0, true_importance=1.0 + i)
+            for i in range(12)
+        ]
+        simulator = EdgeSimulator(nodes, StarNetwork(), quality_threshold=1.0)
+        plan = ExecutionPlan(tuple((task.task_id, 0) for task in tasks))
+        result, trace = TracingSimulator(simulator).run(
+            tasks, plan, failures={0: 0.0}
+        )
+        assert result.tasks_executed == 12
+        # Node 1 (the laptop) is the fastest survivor.
+        assert result.completion_nodes == {task.task_id: 1 for task in tasks}
+        assert trace.for_node(0) == []
+        assert len(trace.for_node(1)) == 3 * 12
+        for event in trace.executions():
+            assert event.end - event.start == pytest.approx(
+                nodes[1].execution_time(tasks[event.task_id].input_mb)
+            )
+
 
 class TestJsonlRoundTrip:
     def test_events_survive_serialize_parse_unchanged(self, traced_run):
@@ -201,7 +224,7 @@ class TestJsonlTraceSink:
         config = FleetConfig(n_nodes=64, n_regions=4, duration_s=5.0, seed=4)
         path = tmp_path / "fleet.jsonl"
         with JsonlTraceSink(path) as sink:
-            result = FleetSimulator.build(config).run_fleet(trace=sink)
+            result = FleetSimulator(config).run(trace=sink)
         parsed = Trace.read_jsonl(path)
         assert result.completed > 0
         assert len(parsed.events) == result.completed
@@ -212,6 +235,6 @@ class TestJsonlTraceSink:
 
         config = FleetConfig(n_nodes=64, n_regions=4, duration_s=5.0, seed=4)
         trace = Trace(max_events=10)
-        result = FleetSimulator.build(config).run_fleet(trace=trace)
+        result = FleetSimulator(config).run(trace=trace)
         assert len(trace.events) == min(10, result.completed)
         assert trace.dropped == max(0, result.completed - 10)

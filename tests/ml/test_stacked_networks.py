@@ -6,9 +6,8 @@ across all of them. The contract is byte-identity: every stacked kernel
 (forward, forward_rows, backward + optimizer step, the joint
 parent/substack split, the stacked Adam step) must produce exactly the
 arithmetic the members would produce on their own, so per-member and
-stacked operations can interleave freely mid-training. The fused
-``train_epochs`` driver and the ``MLPRegressor.fit`` path built on it
-carry the same contract against the naive ``train_batch`` loop.
+stacked operations can interleave freely mid-training. ``MLPRegressor.fit``
+is pinned against a hand-written permutation + ``train_batch`` loop.
 """
 
 from __future__ import annotations
@@ -176,23 +175,6 @@ class TestConstruction:
 
 
 class TestFusedEpochs:
-    def test_train_epochs_matches_naive_loop(self):
-        """The fused epoch driver consumes the RNG and lands every update
-        exactly like the naive permutation + train_batch loop."""
-        rng = np.random.default_rng(60)
-        X = rng.normal(size=(90, SIZES[0]))
-        y = rng.normal(size=(90, 1))
-        fused = MLP((SIZES[0], 8, 1), optimizer=Adam(1e-3), seed=7)
-        naive = MLP((SIZES[0], 8, 1), optimizer=Adam(1e-3), seed=7)
-        fused.train_epochs(X, y, epochs=5, batch_size=16, rng=as_rng(9))
-        loop_rng = as_rng(9)
-        for _ in range(5):
-            order = loop_rng.permutation(len(X))
-            for start in range(0, len(X), 16):
-                index = order[start : start + 16]
-                naive.train_batch(X[index], y[index])
-        assert np.array_equal(fused._flat_params, naive._flat_params)
-
     def test_mlp_regressor_fit_matches_manual_loop(self):
         """MLPRegressor.fit rides the fused driver; replaying its scaling
         and schedule through naive train_batch gives identical weights."""

@@ -140,7 +140,7 @@ class TestGapChunkInvariance:
             seed=3,
         )
         results = [
-            FleetSimulator.build(dataclasses.replace(base, chunk=chunk)).run_fleet()
+            FleetSimulator(dataclasses.replace(base, chunk=chunk)).run()
             for chunk in (7, 64, 8192)
         ]
         reference = results[0]

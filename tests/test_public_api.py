@@ -104,15 +104,15 @@ class TestFacade:
         for name in FACADE_SURFACE:
             assert getattr(repro, name) is not None, name
 
-    def test_core_promoted_access_warns(self):
-        """Promoted constructors still resolve via repro.core, with a warning."""
+    def test_core_promoted_names_removed(self):
+        """Facade constructors are reached through repro, not repro.core."""
         import repro
         import repro.core
 
         for name in ("DCTASystem", "PTExperiment", "ScenarioConfig", "OnlineDCTA"):
-            with pytest.warns(DeprecationWarning, match=name):
-                via_core = getattr(repro.core, name)
-            assert via_core is getattr(repro, name), name
+            assert getattr(repro, name) is not None, name
+            with pytest.raises(AttributeError):
+                getattr(repro.core, name)
 
     def test_core_unknown_attribute_still_raises(self):
         import repro.core
