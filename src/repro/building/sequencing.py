@@ -147,14 +147,101 @@ def ideal_power(
     min_plr: float = MIN_PLR,
 ) -> float:
     """D: the minimum true power any subset could serve the load with."""
-    _check_inputs(chillers, load_kw)
-    return min(
-        sum(
-            plr * chillers[i].capacity_kw / _true_cop(chillers[i], plr, outdoor_temp)
-            for i in members
+    [scenario] = scenario_candidates(chillers, [(load_kw, outdoor_temp)], min_plr=min_plr)
+    return scenario.best_true
+
+
+@dataclass(frozen=True)
+class ScenarioCandidates:
+    """One ``(load_kw, temp)`` scenario's candidate subsets, billed at the true COPs.
+
+    Attributes
+    ----------
+    outdoor_temp:
+        The scenario's outdoor temperature.
+    points:
+        ``(chiller index, plr)`` of every member of every candidate subset,
+        flattened candidate by candidate — the order in which
+        :func:`decision_performance` consults a COP predictor.
+    shares:
+        Per candidate, the load share (kW) of each member, aligned with
+        ``points``.
+    true_powers:
+        Per candidate, the power it draws at the true COPs.
+    best_true:
+        D, the smallest of ``true_powers``.
+    """
+
+    outdoor_temp: float
+    points: tuple[tuple[int, float], ...]
+    shares: tuple[tuple[float, ...], ...]
+    true_powers: tuple[float, ...]
+    best_true: float
+
+
+def scenario_candidates(
+    chillers: Sequence[Chiller],
+    scenarios: Sequence[tuple[float, float]],
+    *,
+    min_plr: float = MIN_PLR,
+) -> list[ScenarioCandidates]:
+    """Price every candidate subset of every scenario at the true COPs.
+
+    The result depends only on the plant and the scenarios, so one call
+    serves any number of COP beliefs (see :func:`scenario_score`).
+    """
+    priced = []
+    for load_kw, outdoor_temp in scenarios:
+        _check_inputs(chillers, load_kw)
+        points: list[tuple[int, float]] = []
+        shares: list[tuple[float, ...]] = []
+        true_powers: list[float] = []
+        best_true: float | None = None
+        for members, plr in _candidate_subsets(chillers, load_kw, min_plr):
+            true_power = 0.0
+            member_shares = []
+            for i in members:
+                chiller = chillers[i]
+                share = plr * chiller.capacity_kw
+                true_power += share / _true_cop(chiller, plr, outdoor_temp)
+                member_shares.append(share)
+                points.append((i, plr))
+            if best_true is None or true_power < best_true:
+                best_true = true_power
+            shares.append(tuple(member_shares))
+            true_powers.append(true_power)
+        priced.append(
+            ScenarioCandidates(
+                outdoor_temp=outdoor_temp,
+                points=tuple(points),
+                shares=tuple(shares),
+                true_powers=tuple(true_powers),
+                best_true=best_true,
+            )
         )
-        for members, plr in _candidate_subsets(chillers, load_kw, min_plr)
-    )
+    return priced
+
+
+def scenario_score(scenario: ScenarioCandidates, cops: Sequence[float]) -> float:
+    """H of one scenario, given the predicted COP at each of its ``points``.
+
+    The subset with the lowest *predicted* power is chosen and billed at
+    its true power; the score compares that to the ideal power and clips
+    to ``[0, 1]``.
+    """
+    chosen_true: float | None = None
+    chosen_predicted: float | None = None
+    position = 0
+    for shares, true_power in zip(scenario.shares, scenario.true_powers):
+        predicted_power = 0.0
+        for share in shares:
+            predicted_power += share / cops[position]
+            position += 1
+        if chosen_predicted is None or predicted_power < chosen_predicted:
+            chosen_predicted = predicted_power
+            chosen_true = true_power
+    best_true = scenario.best_true
+    return max(0.0, 1.0 - abs(chosen_true - best_true) / best_true)
 
 
 def decision_performance(
@@ -175,23 +262,8 @@ def decision_performance(
         raise DataError("decision_performance needs at least one scenario")
     cop = cop_fn if cop_fn is not None else _true_cop
     scores = []
-    for load_kw, outdoor_temp in scenarios:
-        _check_inputs(chillers, load_kw)
-        best_true: float | None = None
-        chosen_true: float | None = None
-        chosen_predicted: float | None = None
-        for members, plr in _candidate_subsets(chillers, load_kw, min_plr):
-            true_power = 0.0
-            predicted_power = 0.0
-            for i in members:
-                chiller = chillers[i]
-                share = plr * chiller.capacity_kw
-                true_power += share / _true_cop(chiller, plr, outdoor_temp)
-                predicted_power += share / cop(chiller, plr, outdoor_temp)
-            if best_true is None or true_power < best_true:
-                best_true = true_power
-            if chosen_predicted is None or predicted_power < chosen_predicted:
-                chosen_predicted = predicted_power
-                chosen_true = true_power
-        scores.append(max(0.0, 1.0 - abs(chosen_true - best_true) / best_true))
+    for scenario in scenario_candidates(chillers, scenarios, min_plr=min_plr):
+        temp = scenario.outdoor_temp
+        cops = [cop(chillers[i], plr, temp) for i, plr in scenario.points]
+        scores.append(scenario_score(scenario, cops))
     return float(np.mean(scores))

@@ -102,8 +102,13 @@ def energy_of_run(
 
     Only tasks whose results actually arrived (``result.completion_times``)
     count as executed; transfer seconds cover their inputs and results.
+    Each is charged to the node its result came from
+    (``result.completion_nodes``), which differs from the plan's node for a
+    task re-dispatched after a failure; the plan only fills in results
+    that record no node.
     """
     node_of = dict(plan.assignments)
+    node_of.update(result.completion_nodes)
     task_by_id = {task.task_id: task for task in tasks}
     tasks_by_node: dict[int, list[float]] = {}
     transfer_seconds = 0.0

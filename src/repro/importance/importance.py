@@ -6,8 +6,13 @@ Importance is evaluated per decision epoch (day): the decision function is
 scored with the full task set and again with task j excluded (its COP
 predictions fall back to the nameplate estimate). Since H averages
 per-building scores and a task only informs its own building's sequencing,
-dropping task j can only change that building's term; the evaluator exploits
-this to avoid recomputing unaffected buildings.
+dropping task j can only change that building's term.
+
+Each building-day's COPs are predicted once, from the full task set, into a
+:class:`~repro.transfer.decision.CopTable`. Dropping task j recomputes only
+j's predictions — they become nameplate COPs — and re-scores only the
+scenarios that visit one of them; every other prediction, true power and
+scenario score is shared by all the leave-one-out evaluations of the day.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from repro.parallel import (
 from repro.transfer.decision import MTLDecisionModel
 from repro.transfer.task import TaskModelSet
 
-#: Rough serial cost of one leave-one-out day evaluation (reference bench
-#: machine); feeds the pool's work-vs-overhead fan-out decision.
-EST_LOO_S_PER_DAY = 0.05
+#: Rough serial cost of one leave-one-out day evaluation (measured 6-10 ms
+#: for 2-3 buildings of 29-48 tasks on a 2-vCPU Xeon); feeds the pool's
+#: work-vs-overhead fan-out decision.
+EST_LOO_S_PER_DAY = 0.01
 
 
 @dataclass(frozen=True)
@@ -93,29 +99,17 @@ class ImportanceEvaluator:
         self.model_set = model_set
         self.clip_negative = bool(clip_negative)
         self.jobs = int(jobs)
-        self._full_model = MTLDecisionModel(dataset, model_set)
 
     # ------------------------------------------------------------------
-    def _building_scores(self, day: int, model: MTLDecisionModel) -> np.ndarray:
-        scores = []
-        for building_id in range(len(self.dataset.plants)):
-            scenarios = self.dataset.scenarios_for_day(building_id, day)
-            if not scenarios:
-                raise DataError(f"no scenarios for building {building_id} on day {day}")
-            scores.append(model.building_performance(building_id, scenarios))
-        return np.asarray(scores)
-
     def importance_for_day(self, day: int) -> np.ndarray:
         """I_j for every task id in ``model_set.task_ids``, for one day."""
-        full_scores = self._building_scores(day, self._full_model)
+        tables = MTLDecisionModel(self.dataset, self.model_set).cop_tables(day)
+        full_scores = np.asarray([table.performance() for table in tables])
         n_buildings = full_scores.size
         importances = np.zeros(len(self.model_set))
         for position, task_id in enumerate(self.model_set.task_ids):
-            task = self.model_set.get(task_id)
-            building = task.data.building_id
-            reduced = self._full_model.with_model_set(self.model_set.without(task_id))
-            scenarios = self.dataset.scenarios_for_day(building, day)
-            reduced_score = reduced.building_performance(building, scenarios)
+            building = self.model_set.get(task_id).data.building_id
+            reduced_score = tables[building].performance((task_id,))
             # Only the task's own building term changes in the H average.
             delta = (full_scores[building] - reduced_score) / n_buildings
             importances[position] = max(delta, 0.0) if self.clip_negative else delta

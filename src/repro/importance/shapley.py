@@ -13,83 +13,74 @@ walk each ordering accumulating tasks, and credit each task with the
 performance delta it causes on arrival. Unbiased, with variance shrinking
 as 1/sqrt(n_permutations).
 
+Every coalition is scored from the day's per-building
+:class:`~repro.transfer.decision.CopTable`: the COPs are predicted once
+from the full task set, and a coalition's value sets the keys of every
+task outside it to nameplate. No coalition makes a prediction of its own.
+
 Permutations are independent given their orderings, so with ``jobs > 1``
 they shard across the persistent worker pool: all orderings are drawn up
 front in the parent (one rng, fixed order — the
 :func:`~repro.utils.rng.derive_seeds` discipline), each shard walks its
-orderings with a local coalition-value cache, and the parent reassembles
-per-permutation marginal rows in draw order before reducing. Coalition
-values are deterministic, and the reduction order is fixed, so ``jobs=1``
-and ``jobs=N`` produce byte-identical importance vectors. A
-cross-permutation (and cross-call, per day) coalition-value cache removes
-the repeated H evaluations that make the estimator expensive.
+orderings over the parent's COP tables with a local coalition-value
+cache, and the parent reassembles per-permutation marginal rows in draw
+order before reducing. Coalition values are deterministic, and the
+reduction order is fixed, so ``jobs=1`` and ``jobs=N`` produce
+byte-identical importance vectors. A cross-permutation (and cross-call,
+per day) coalition-value cache removes repeated H evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.building.dataset import BuildingOperationDataset
-from repro.errors import ConfigurationError, DataError
-from repro.parallel import (
-    ParallelTrainer,
-    get_shared_store,
-    get_worker_pool,
-    resolve_shared,
-)
-from repro.transfer.decision import MTLDecisionModel
+from repro.errors import ConfigurationError
+from repro.parallel import ParallelTrainer, get_worker_pool
+from repro.transfer.decision import CopTable, MTLDecisionModel
 from repro.transfer.task import TaskModelSet
 from repro.utils.rng import as_rng
 
 #: Rough serial cost of one sampled permutation (n_tasks coalition
-#: evaluations); feeds the pool's work-vs-overhead fan-out decision.
-EST_SHAPLEY_S_PER_PERMUTATION = 0.1
+#: evaluations; measured 3-11 ms for 29-48 tasks on a 2-vCPU Xeon); feeds
+#: the pool's work-vs-overhead fan-out decision.
+EST_SHAPLEY_S_PER_PERMUTATION = 0.01
 
 
 def _coalition_value(
-    dataset: BuildingOperationDataset,
-    model_set: TaskModelSet,
-    task_ids: list[int],
-    day: int,
-    cache: dict,
+    tables: Sequence[CopTable], task_ids: Sequence[int], coalition: list[int], cache: dict
 ) -> float:
-    """H of the coalition (empty coalition = all-nameplate sequencing)."""
-    key = frozenset(task_ids)
+    """H of the coalition: every task outside it at nameplate COP.
+
+    The empty coalition is all-nameplate sequencing.
+    """
+    key = frozenset(coalition)
     cached = cache.get(key)
     if cached is not None:
         return cached
-    if task_ids:
-        restricted = model_set.restricted_to(task_ids)
-        # Include unfitted placeholders for the remaining tasks so the
-        # lookup falls back to nameplate for them.
-        value = MTLDecisionModel(dataset, restricted).overall_performance(day)
-    else:
-        from repro.transfer.task import LearningTask
-
-        bare = TaskModelSet([LearningTask(data=t.data, model=None) for t in model_set])
-        value = MTLDecisionModel(dataset, bare).overall_performance(day)
+    dropped = [task_id for task_id in task_ids if task_id not in key]
+    value = float(np.mean([table.performance(dropped) for table in tables]))
     cache[key] = value
     return value
 
 
 def _permutation_marginals(
-    dataset: BuildingOperationDataset,
-    model_set: TaskModelSet,
+    tables: Sequence[CopTable],
+    task_ids: Sequence[int],
     orders: list[np.ndarray],
-    day: int,
     cache: dict,
 ) -> np.ndarray:
     """(len(orders), n_tasks) marginal-contribution rows, one per ordering."""
-    task_ids = model_set.task_ids
     rows = np.zeros((len(orders), len(task_ids)))
     for row, order in enumerate(orders):
         coalition: list[int] = []
-        previous = _coalition_value(dataset, model_set, coalition, day, cache)
+        previous = _coalition_value(tables, task_ids, coalition, cache)
         for position in order:
             coalition = coalition + [task_ids[position]]
-            current = _coalition_value(dataset, model_set, coalition, day, cache)
+            current = _coalition_value(tables, task_ids, coalition, cache)
             rows[row, position] = current - previous
             previous = current
     return rows
@@ -99,25 +90,22 @@ def _permutation_marginals(
 class _PermutationShard:
     """Picklable payload: walk a chunk of sampled orderings in a worker.
 
-    ``dataset``/``model_set`` are usually
-    :class:`~repro.parallel.shm.SharedBlobRef` handles (pickled once into
-    shared memory); ``orders`` are the parent-drawn orderings, so workers
-    perform no random draws at all.
+    ``tables`` are the day's COP tables, built once in the parent, so
+    workers make no predictions; ``orders`` are the parent-drawn
+    orderings, so workers perform no random draws at all.
     """
 
-    dataset: object
-    model_set: object
-    day: int
+    tables: tuple[CopTable, ...]
+    task_ids: tuple[int, ...]
     orders: tuple[tuple[int, ...], ...]
 
 
 def _evaluate_permutation_shard(shard: _PermutationShard) -> np.ndarray:
     """Marginal rows for the shard's orderings (worker fn, local cache)."""
     return _permutation_marginals(
-        resolve_shared(shard.dataset),
-        resolve_shared(shard.model_set),
+        shard.tables,
+        shard.task_ids,
         [np.asarray(order, dtype=int) for order in shard.orders],
-        shard.day,
         {},
     )
 
@@ -160,11 +148,24 @@ class ShapleyImportanceEvaluator:
         self._rng = as_rng(seed)
         #: Cross-permutation, cross-call coalition-value memo, per day.
         self._value_caches: dict[int, dict] = {}
+        #: The day's per-building COP tables, shared by every coalition.
+        self._tables: dict[int, list[CopTable]] = {}
 
     # ------------------------------------------------------------------
     def _coalition_value(self, task_ids: list[int], day: int, cache: dict) -> float:
         """H of the coalition — kept public-ish for the efficiency-axiom tests."""
-        return _coalition_value(self.dataset, self.model_set, list(task_ids), day, cache)
+        return _coalition_value(
+            self._tables_for(day), self.model_set.task_ids, list(task_ids), cache
+        )
+
+    def _tables_for(self, day: int) -> list[CopTable]:
+        if len(self._tables) > 64:  # bound cross-call growth
+            self._tables.clear()
+        tables = self._tables.get(int(day))
+        if tables is None:
+            decision = MTLDecisionModel(self.dataset, self.model_set)
+            tables = self._tables[int(day)] = decision.cop_tables(int(day))
+        return tables
 
     def _cache_for(self, day: int) -> dict:
         if len(self._value_caches) > 64:  # bound cross-call growth
@@ -185,12 +186,9 @@ class ShapleyImportanceEvaluator:
             jobs = get_worker_pool().effective_jobs(
                 jobs, len(orders), estimated_cost_s=estimated_s
             )
+        tables = self._tables_for(day)
+        task_ids = self.model_set.task_ids
         if jobs > 1 and len(orders) > 1:
-            shared = get_shared_store()
-            dataset_ref = shared.share(f"shapley.dataset:{id(self.dataset)}", self.dataset)
-            model_ref = shared.share(
-                f"shapley.model_set:{id(self.model_set)}", self.model_set
-            )
             chunks = [
                 chunk
                 for chunk in np.array_split(np.arange(len(orders)), min(jobs, len(orders)))
@@ -198,9 +196,8 @@ class ShapleyImportanceEvaluator:
             ]
             shards = [
                 _PermutationShard(
-                    dataset=dataset_ref,
-                    model_set=model_ref,
-                    day=int(day),
+                    tables=tuple(tables),
+                    task_ids=tuple(task_ids),
                     orders=tuple(
                         tuple(int(i) for i in orders[index]) for index in chunk
                     ),
@@ -215,9 +212,7 @@ class ShapleyImportanceEvaluator:
             )
             marginals = np.vstack(trainer.map(shards))
         else:
-            marginals = _permutation_marginals(
-                self.dataset, self.model_set, orders, int(day), self._cache_for(day)
-            )
+            marginals = _permutation_marginals(tables, task_ids, orders, self._cache_for(day))
         return marginals.sum(axis=0) / self.n_permutations
 
 

@@ -11,17 +11,27 @@ the task models' COP predictions. Tasks that are absent from the model set
 fall back to the machine's nameplate COP estimate — the prediction an
 operator would use without any data-driven model — so excluding a task
 degrades exactly the decisions that task would have informed.
+
+Importance scores many task subsets against one decision epoch. A
+:class:`CopTable` predicts one building-day's COPs once, from the full θ,
+and records which task produced each; any subset J' ⊂ J is then scored
+from that table with the keys of the tasks outside J' set to nameplate.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.building.chiller import Chiller
 from repro.building.dataset import BuildingOperationDataset
-from repro.building.sequencing import decision_performance
+from repro.building.sequencing import (
+    ScenarioCandidates,
+    decision_performance,
+    scenario_candidates,
+    scenario_score,
+)
 from repro.errors import DataError
 from repro.transfer.task import TaskModelSet
 
@@ -82,20 +92,23 @@ class MTLDecisionModel:
             [[plr, outdoor_temp, self.humidity, self.condition, flow, DEFAULT_DELTA_T]]
         )
 
-    def predicted_cop(self, chiller: Chiller, plr: float, outdoor_temp: float) -> float:
-        """COP prediction used by the sequencer (cached per operating point)."""
-        key = (chiller.building_id, chiller.chiller_id, round(plr, 4), round(outdoor_temp, 2))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def _prediction(
+        self, chiller: Chiller, plr: float, outdoor_temp: float
+    ) -> tuple[float, int | None]:
+        """(COP, id of the task that predicted it — ``None`` for nameplate)."""
         task = self.model_set.lookup(chiller.building_id, chiller.chiller_id, plr)
         if task is None or not task.is_fitted:
-            value = nameplate_cop(chiller)
-        else:
-            value = float(task.predict(self._feature_row(chiller, plr, outdoor_temp))[0])
-            value = float(np.clip(value, 0.5, 12.0))
-        self._cache[key] = value
-        return value
+            return nameplate_cop(chiller), None
+        value = float(task.predict(self._feature_row(chiller, plr, outdoor_temp))[0])
+        return min(max(value, 0.5), 12.0), task.task_id
+
+    def predicted_cop(self, chiller: Chiller, plr: float, outdoor_temp: float) -> float:
+        """COP prediction used by the sequencer (cached per operating point)."""
+        key = _operating_point(chiller, plr, outdoor_temp)
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = self._cache[key] = self._prediction(chiller, plr, outdoor_temp)[0]
+        return cached
 
     def cop_fn(self):
         """A CopFunction closure for :func:`repro.building.sequencing.sequence_chillers`."""
@@ -111,6 +124,50 @@ class MTLDecisionModel:
         plant = self.dataset.plants[building_id]
         return decision_performance(plant.chillers, scenarios, cop_fn=self.cop_fn())
 
+    def cop_table(
+        self, building_id: int, scenarios: Sequence[tuple[float, float]]
+    ) -> CopTable:
+        """Predict one building's scenarios once, for scoring many task subsets.
+
+        Predictions are made in the order :meth:`building_performance`
+        makes them, with a cache of the table's own, so the table holds
+        exactly what a fresh model would predict.
+        """
+        if not 0 <= building_id < len(self.dataset.plants):
+            raise DataError(f"building_id {building_id} out of range")
+        if not scenarios:
+            raise DataError(f"no scenarios for building {building_id}")
+        chillers = self.dataset.plants[building_id].chillers
+        priced = scenario_candidates(chillers, scenarios)
+        index: dict[tuple[int, int, float, float], int] = {}
+        values: list[float] = []
+        nameplates: list[float] = []
+        owners: list[int | None] = []
+        point_keys: list[tuple[int, ...]] = []
+        for scenario in priced:
+            temp = scenario.outdoor_temp
+            keys = []
+            for i, plr in scenario.points:
+                chiller = chillers[i]
+                key = _operating_point(chiller, plr, temp)
+                position = index.get(key)
+                if position is None:
+                    position = index[key] = len(values)
+                    value, owner = self._prediction(chiller, plr, temp)
+                    values.append(value)
+                    owners.append(owner)
+                    nameplates.append(nameplate_cop(chiller))
+                keys.append(position)
+            point_keys.append(tuple(keys))
+        return CopTable(priced, point_keys, values, nameplates, owners)
+
+    def cop_tables(self, day: int) -> list[CopTable]:
+        """One :class:`CopTable` per building for decision epoch ``day``."""
+        return [
+            self.cop_table(building_id, self.dataset.scenarios_for_day(building_id, day))
+            for building_id in range(len(self.dataset.plants))
+        ]
+
     def overall_performance(self, day: int) -> float:
         """H(J; θ) across all buildings for decision epoch ``day``."""
         scores = []
@@ -122,8 +179,68 @@ class MTLDecisionModel:
             raise DataError(f"no positive-load scenarios on day {day}")
         return float(np.mean(scores))
 
-    def with_model_set(self, model_set: TaskModelSet) -> "MTLDecisionModel":
-        """A sibling evaluator with a different θ (cache not shared)."""
-        return MTLDecisionModel(
-            self.dataset, model_set, humidity=self.humidity, condition=self.condition
-        )
+
+def _operating_point(
+    chiller: Chiller, plr: float, outdoor_temp: float
+) -> tuple[int, int, float, float]:
+    """Cache key of a COP prediction: the rounded operating point."""
+    return (chiller.building_id, chiller.chiller_id, round(plr, 4), round(outdoor_temp, 2))
+
+
+class CopTable:
+    """One building's scenarios with the COPs θ predicts at every operating point.
+
+    Built by :meth:`MTLDecisionModel.cop_table`. Each rounded operating
+    point (key) holds the full θ's prediction and the task that made it.
+    Dropping a set of tasks turns their keys into nameplate COPs; only the
+    scenarios that visit one of those keys are re-scored, and the rest keep
+    their full-set score. The scores are the ones a fresh
+    :class:`MTLDecisionModel` over the reduced task set would give.
+    """
+
+    def __init__(
+        self,
+        scenarios: list[ScenarioCandidates],
+        point_keys: list[tuple[int, ...]],
+        values: list[float],
+        nameplates: list[float],
+        owners: list[int | None],
+    ) -> None:
+        self._scenarios = scenarios
+        self._point_keys = point_keys
+        self._values = values
+        self._nameplates = nameplates
+        self._task_keys: dict[int, list[int]] = {}
+        for key, owner in enumerate(owners):
+            if owner is not None:
+                self._task_keys.setdefault(owner, []).append(key)
+        self._task_scenarios: dict[int, set[int]] = {}
+        for position, keys in enumerate(point_keys):
+            for key in keys:
+                owner = owners[key]
+                if owner is not None:
+                    self._task_scenarios.setdefault(owner, set()).add(position)
+        self._full_scores = [
+            scenario_score(scenario, [values[key] for key in keys])
+            for scenario, keys in zip(scenarios, point_keys)
+        ]
+
+    def scores(self, dropped: Iterable[int] = ()) -> list[float]:
+        """Per-scenario H with the tasks in ``dropped`` at nameplate COP."""
+        values = list(self._values)
+        touched: set[int] = set()
+        for task_id in dropped:
+            for key in self._task_keys.get(task_id, ()):
+                values[key] = self._nameplates[key]
+            touched |= self._task_scenarios.get(task_id, set())
+        scores = list(self._full_scores)
+        for position in touched:
+            keys = self._point_keys[position]
+            scores[position] = scenario_score(
+                self._scenarios[position], [values[key] for key in keys]
+            )
+        return scores
+
+    def performance(self, dropped: Iterable[int] = ()) -> float:
+        """H of this building with the tasks in ``dropped`` excluded."""
+        return float(np.mean(self.scores(dropped)))

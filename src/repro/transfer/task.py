@@ -54,6 +54,11 @@ class TaskModelSet:
             self._tasks[task.task_id] = task
         if not self._tasks:
             raise DataError("TaskModelSet must contain at least one task")
+        #: (building, chiller) -> its tasks, in set order, for :meth:`lookup`.
+        self._by_chiller: dict[tuple[int, int], list[LearningTask]] = {}
+        for task in self._tasks.values():
+            key = (task.data.building_id, task.data.chiller_id)
+            self._by_chiller.setdefault(key, []).append(task)
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -90,12 +95,8 @@ class TaskModelSet:
 
     def lookup(self, building_id: int, chiller_id: int, plr: float) -> LearningTask | None:
         """The task covering (chiller, PLR band), or None if absent/dropped."""
-        for task in self._tasks.values():
-            data = task.data
-            if (
-                data.building_id == building_id
-                and data.chiller_id == chiller_id
-                and data.band[0] <= plr < data.band[1]
-            ):
+        for task in self._by_chiller.get((building_id, chiller_id), ()):
+            low, high = task.data.band
+            if low <= plr < high:
                 return task
         return None

@@ -98,3 +98,21 @@ class TestEnergyOfRun:
         smart_energy = energy_of_run(nodes, tasks, smart, smart_result, network)
         blind_energy = energy_of_run(nodes, tasks, blind, blind_result, network)
         assert smart_energy.total_j < blind_energy.total_j
+
+    def test_redispatched_work_not_charged_to_failed_node(self, nodes):
+        """A node dead from t=0 executes nothing, so it draws no compute energy."""
+        tasks = [
+            SimTask(i, input_mb=50.0, memory_mb=10.0, true_importance=0.5)
+            for i in range(2)
+        ]
+        network = StarNetwork()
+        simulator = EdgeSimulator(nodes, network, quality_threshold=0.99)
+        plan = ExecutionPlan(((0, 0), (1, 0)))  # everything planned on node 0
+        result = simulator.run(tasks, plan, failures={0: 0.0})
+        assert set(result.completion_nodes.values()) == {1}
+        report = energy_of_run(nodes, tasks, plan, result, network)
+        # Compute energy does not depend on transfer time.
+        survivor_only = estimate_energy(
+            nodes, {1: [task.input_mb for task in tasks]}, result, transfer_seconds=0.0
+        )
+        assert report.compute_j == survivor_only.compute_j

@@ -54,7 +54,7 @@ class TestPerformance:
         unfitted = TaskModelSet(
             [LearningTask(data=task.data, model=None) for task in small_model_set]
         )
-        bare = decision_model.with_model_set(unfitted)
+        bare = MTLDecisionModel(small_dataset, unfitted)
         days = small_dataset.days[2:6]
         trained_scores = [decision_model.overall_performance(int(d)) for d in days]
         bare_scores = [bare.overall_performance(int(d)) for d in days]
@@ -73,3 +73,33 @@ class TestPerformance:
         assert decision_model.overall_performance(day) == pytest.approx(
             float(np.mean(per_building))
         )
+
+
+class TestCopTable:
+    def test_full_set_matches_fresh_model(self, small_dataset, small_model_set):
+        for building in range(len(small_dataset.plants)):
+            scenarios = small_dataset.scenarios_for_day(building, 3)
+            table = MTLDecisionModel(small_dataset, small_model_set).cop_table(
+                building, scenarios
+            )
+            fresh = MTLDecisionModel(small_dataset, small_model_set)
+            assert table.performance() == fresh.building_performance(building, scenarios)
+
+    def test_dropping_every_task_is_nameplate_sequencing(
+        self, small_dataset, small_model_set
+    ):
+        from repro.transfer.task import LearningTask, TaskModelSet
+
+        unfitted = TaskModelSet(
+            [LearningTask(data=task.data, model=None) for task in small_model_set]
+        )
+        scenarios = small_dataset.scenarios_for_day(1, 5)
+        table = MTLDecisionModel(small_dataset, small_model_set).cop_table(1, scenarios)
+        bare = MTLDecisionModel(small_dataset, unfitted).building_performance(1, scenarios)
+        assert table.performance(small_model_set.task_ids) == bare
+
+    def test_bad_inputs_rejected(self, decision_model, small_dataset):
+        with pytest.raises(DataError):
+            decision_model.cop_table(len(small_dataset.plants), [(500.0, 25.0)])
+        with pytest.raises(DataError):
+            decision_model.cop_table(0, [])
