@@ -1,15 +1,7 @@
-"""Perf: the evaluation hot path — leave-one-out vs Shapley, jobs=1 vs N.
-
-Byte-identity of ``jobs=1`` and ``jobs=N`` outputs always runs (the
-`derive_seeds` discipline: all orderings/shards are fixed in the parent,
-so parallelism must not change a single bit). The speedup assertions only
-run when the machine has the cores to show one — on a 1-core runner the
-adaptive fallback serialises the fan-out by design.
-"""
+"""Perf: the evaluation hot path — leave-one-out and Shapley importance."""
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -19,8 +11,6 @@ from repro.building.dataset import BuildingOperationConfig, BuildingOperationDat
 from repro.importance.importance import ImportanceEvaluator
 from repro.importance.shapley import ShapleyImportanceEvaluator
 from repro.transfer.registry import make_strategy
-
-PARALLEL_JOBS = 4
 
 
 @pytest.fixture(scope="module")
@@ -35,51 +25,30 @@ def importance_setup():
 def test_perf_loo_importance(track, importance_setup):
     dataset, model_set = importance_setup
     days = np.arange(8)
-
-    def loo(jobs):
-        return ImportanceEvaluator(dataset, model_set, jobs=jobs).importance_matrix(days)
-
-    serial = track("loo_importance_jobs1", lambda: loo(1))
-    parallel = track(f"loo_importance_jobs{PARALLEL_JOBS}", lambda: loo(PARALLEL_JOBS))
-    assert np.array_equal(serial, parallel), "LOO importance diverged across jobs"
-    assert serial.shape == (days.size, len(model_set.task_ids))
+    matrix = track(
+        "loo_importance_jobs1",
+        lambda: ImportanceEvaluator(dataset, model_set).importance_matrix(days),
+    )
+    assert matrix.shape == (days.size, len(model_set.task_ids))
 
 
 def test_perf_shapley_importance(track, importance_setup):
     dataset, model_set = importance_setup
-
-    def shapley(jobs):
-        # Fresh evaluator per call: the cross-call coalition cache must
-        # not leak warmth between timed rounds.
-        return ShapleyImportanceEvaluator(
-            dataset, model_set, n_permutations=8, seed=5, jobs=jobs
-        ).importance_for_day(1)
-
-    started = time.perf_counter()
-    serial = track("shapley_importance_jobs1", lambda: shapley(1))
-    serial_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
-    parallel = track(
-        f"shapley_importance_jobs{PARALLEL_JOBS}", lambda: shapley(PARALLEL_JOBS)
+    # Fresh evaluator per call: the cross-call coalition cache must not
+    # leak warmth between timed rounds.
+    values = track(
+        "shapley_importance_jobs1",
+        lambda: ShapleyImportanceEvaluator(
+            dataset, model_set, n_permutations=8, seed=5
+        ).importance_for_day(1),
     )
-    parallel_elapsed = time.perf_counter() - started
-
-    assert np.array_equal(serial, parallel), "Shapley importance diverged across jobs"
-
-    # Permutation sharding should give ≥ 2x where the cores exist.
-    if (os.cpu_count() or 1) >= PARALLEL_JOBS:
-        speedup = serial_elapsed / max(parallel_elapsed, 1e-9)
-        assert speedup >= 2.0, (
-            f"Shapley jobs={PARALLEL_JOBS} speedup {speedup:.2f}x < 2x"
-        )
+    assert values.shape == (len(model_set.task_ids),)
 
 
 def test_shapley_cross_call_cache_reuses_coalition_values(importance_setup):
     """Serial repeat evaluations of a day reuse the coalition-value memo."""
     dataset, model_set = importance_setup
-    evaluator = ShapleyImportanceEvaluator(
-        dataset, model_set, n_permutations=4, seed=5, jobs=1
-    )
+    evaluator = ShapleyImportanceEvaluator(dataset, model_set, n_permutations=4, seed=5)
     first = evaluator.importance_for_day(1)
     cache_size = len(evaluator._value_caches[1])
     assert cache_size > 0

@@ -24,8 +24,8 @@ flags mirror ``repro.serve.ServeConfig`` field names and their defaults
 are shown in ``--help``.
 
 Experiment subcommands accept ``--jobs N`` (parallel per-cluster CRL
-training) and ``--no-cache`` (disable the allocation cache); see
-``docs/performance.md``.
+training and per-point Fig. 9 sweeps) and ``--no-cache`` (disable the
+allocation cache); see ``docs/performance.md``.
 
 Every experiment subcommand also accepts the telemetry flags::
 
@@ -101,7 +101,8 @@ def _add_performance_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for per-cluster CRL training (1 = serial)",
+        help="worker processes for per-cluster CRL training and per-point "
+        "Fig. 9 sweeps (1 = serial)",
     )
     group.add_argument(
         "--no-cache",

@@ -356,8 +356,7 @@ def run_bench(
 
     ``quick`` uses CI-sized workloads (the default); disable it for
     higher-fidelity numbers. The cache benches always verify that cached
-    and uncached plans agree byte-for-byte before reporting speedups, and
-    the importance benches verify ``jobs=1`` / ``jobs=N`` byte-identity.
+    and uncached plans agree byte-for-byte before reporting speedups.
     The worker pool is warmed once up front so parallel benches measure
     steady-state dispatch, not spin-up; it is shut down (and its shared
     segments released) before returning.
@@ -384,7 +383,7 @@ def run_bench(
             _bench_stacked_train(results, rounds, commit, quick, notes)
             _bench_dqn(results, rounds, commit, quick)
             _bench_rollout_batch(results, rounds, commit, quick, notes)
-            _bench_importance(results, rounds, commit, quick, jobs, notes)
+            _bench_importance(results, rounds, commit, quick)
             _bench_edgesim(results, rounds, commit, quick)
             _bench_fleet(results, rounds, commit, quick, notes)
             _bench_fleet_sharded(results, rounds, commit, quick, notes)
@@ -471,11 +470,10 @@ def _bench_crl_train(results, rounds, commit, quick, jobs, notes) -> None:
         )
 
 
-def _crl_params_sha(model) -> str:
-    """Digest of every cluster agent's trained state (identity checks)."""
+def _crl_params_sha(agents) -> str:
+    """Digest of every agent's trained state (identity checks)."""
     digest = hashlib.sha256()
-    for key in sorted(model._cluster_agents):
-        agent = model._cluster_agents[key]
+    for agent in agents:
         digest.update(np.ascontiguousarray(agent.online._flat_params).tobytes())
         digest.update(np.ascontiguousarray(agent.target._flat_params).tobytes())
         digest.update(np.float64(agent.epsilon).tobytes())
@@ -484,43 +482,52 @@ def _crl_params_sha(model) -> str:
 
 
 def _bench_stacked_train(results, rounds, commit, quick, notes) -> None:
-    """Lockstep-stacked vs serial per-agent CRL training (same model).
+    """Lockstep-stacked vs per-agent CRL training over one task list.
 
-    Times :meth:`CRLModel.fit` with the cross-agent stacked kernels
-    forced on vs off (interleaved rounds), then asserts the two trained
-    models are byte-identical — parameters, target nets, ε and step
-    counters — before recording. The stacked path is what ``jobs=1``
-    builds use by default, so ``crl_train_stacked`` tracks the number
-    the `crl_train_4cluster_jobs1` entry rides on.
+    Times :func:`~repro.rl.crl.train_allocation_agents_stacked` against
+    mapping :func:`~repro.rl.crl.train_allocation_agent` over the same
+    four tasks (interleaved rounds), then asserts the two
+    agent lists are byte-identical — parameters, target nets, ε and step
+    counters — before recording. The stacked path is what a CRL fit runs
+    whenever the worker pool declines to fan out, so
+    ``crl_train_stacked`` tracks the number the
+    `crl_train_4cluster_jobs1` entry rides on.
     """
     from repro.allocation.base import tatim_from_workload
-    from repro.rl.crl import CRLModel
+    from repro.rl.crl import (
+        AgentTrainTask,
+        train_allocation_agent,
+        train_allocation_agents_stacked,
+    )
     from repro.rl.dqn import DQNConfig
+    from repro.utils.rng import derive_seeds
 
     scenario = _train_scenario(quick)
     nodes, _ = scaled_testbed(6)
     geometry = tatim_from_workload(scenario.tasks, nodes)
-    store = scenario.environment_store()
-    episodes = 30 if quick else 80
-
-    def fit(stacked: bool):
-        model = CRLModel(
-            geometry,
-            n_clusters=4,
-            episodes=episodes,
+    importance = scenario.environment_store().importance_matrix
+    # Four environments, each the mean of every fourth stored day.
+    tasks = [
+        AgentTrainTask(
+            geometry=geometry,
+            importance=importance[cluster::4].mean(axis=0),
             dqn_config=DQNConfig(hidden_sizes=(64, 32)),
-            jobs=1,
-            seed=0,
-            stacked=stacked,
+            episodes=30 if quick else 80,
+            seed=seed,
         )
-        return model.fit(store)
+        for cluster, seed in enumerate(derive_seeds(0, 4))
+    ]
 
     timings = _timed_interleaved(
-        {"stacked": lambda: fit(True), "unstacked": lambda: fit(False)}, rounds
+        {
+            "stacked": lambda: train_allocation_agents_stacked(tasks),
+            "unstacked": lambda: [train_allocation_agent(task) for task in tasks],
+        },
+        rounds,
     )
-    stacked_s, stacked_std, stacked_model = timings["stacked"]
-    serial_s, serial_std, serial_model = timings["unstacked"]
-    if _crl_params_sha(stacked_model) != _crl_params_sha(serial_model):
+    stacked_s, stacked_std, stacked_agents = timings["stacked"]
+    serial_s, serial_std, serial_agents = timings["unstacked"]
+    if _crl_params_sha(stacked_agents) != _crl_params_sha(serial_agents):
         raise AssertionError("stacked CRL training diverged from serial training")
     record(results, "crl_train_stacked", stacked_s, rounds, std_s=stacked_std, commit=commit)
     record(
@@ -641,12 +648,11 @@ def _bench_dqn(results, rounds, commit, quick) -> None:
         record(results, name, mean_s, rounds, std_s=std_s, commit=commit)
 
 
-def _bench_importance(results, rounds, commit, quick, jobs, notes) -> None:
-    """Leave-one-out + Shapley evaluators at jobs=1 vs jobs=N.
+def _bench_importance(results, rounds, commit, quick) -> None:
+    """Leave-one-out + Shapley evaluators.
 
     Fresh evaluators are built inside each timed call so the cross-call
-    coalition caches never leak warmth between rounds; byte-identity of
-    the jobs=1 and jobs=N outputs is asserted before recording.
+    coalition caches never leak warmth between rounds.
     """
     from repro.building.dataset import BuildingOperationConfig, BuildingOperationDataset
     from repro.importance.importance import ImportanceEvaluator
@@ -660,57 +666,19 @@ def _bench_importance(results, rounds, commit, quick, jobs, notes) -> None:
     days = np.arange(8 if quick else 20)
     n_permutations = 8 if quick else 16
 
-    def loo(n_jobs: int):
-        return ImportanceEvaluator(dataset, model_set, jobs=n_jobs).importance_matrix(days)
-
-    def shapley(n_jobs: int):
-        return ShapleyImportanceEvaluator(
-            dataset, model_set, n_permutations=n_permutations, seed=5, jobs=n_jobs
-        ).importance_for_day(1)
-
-    if jobs > 1:
-        timings = _timed_interleaved(
-            {
-                "loo1": lambda: loo(1),
-                "looN": lambda: loo(jobs),
-                "shap1": lambda: shapley(1),
-                "shapN": lambda: shapley(jobs),
-            },
-            rounds,
-        )
-        loo1_s, loo1_std, loo1 = timings["loo1"]
-        loon_s, loon_std, loon = timings["looN"]
-        shap1_s, shap1_std, shap1 = timings["shap1"]
-        shapn_s, shapn_std, shapn = timings["shapN"]
-        record(results, "loo_importance_jobs1", loo1_s, rounds, std_s=loo1_std, commit=commit)
-        record(
-            results, "shapley_importance_jobs1", shap1_s, rounds, std_s=shap1_std, commit=commit
-        )
-        record(
-            results, f"loo_importance_jobs{jobs}", loon_s, rounds, std_s=loon_std, commit=commit
-        )
-        record(
-            results,
-            f"shapley_importance_jobs{jobs}",
-            shapn_s,
-            rounds,
-            std_s=shapn_std,
-            commit=commit,
-        )
-        if not np.array_equal(loo1, loon) or not np.array_equal(shap1, shapn):
-            raise AssertionError("importance at jobs=N diverged from jobs=1")
-        notes.append(
-            f"importance speedup at jobs={jobs}: "
-            f"LOO {loo1_s / max(loon_s, 1e-9):.2f}x, "
-            f"Shapley {shap1_s / max(shapn_s, 1e-9):.2f}x (byte-identical)"
-        )
-    else:
-        loo1_s, loo1_std, _ = _timed(lambda: loo(1), rounds)
-        record(results, "loo_importance_jobs1", loo1_s, rounds, std_s=loo1_std, commit=commit)
-        shap1_s, shap1_std, _ = _timed(lambda: shapley(1), rounds)
-        record(
-            results, "shapley_importance_jobs1", shap1_s, rounds, std_s=shap1_std, commit=commit
-        )
+    loo_s, loo_std, _ = _timed(
+        lambda: ImportanceEvaluator(dataset, model_set).importance_matrix(days), rounds
+    )
+    record(results, "loo_importance_jobs1", loo_s, rounds, std_s=loo_std, commit=commit)
+    shapley_s, shapley_std, _ = _timed(
+        lambda: ShapleyImportanceEvaluator(
+            dataset, model_set, n_permutations=n_permutations, seed=5
+        ).importance_for_day(1),
+        rounds,
+    )
+    record(
+        results, "shapley_importance_jobs1", shapley_s, rounds, std_s=shapley_std, commit=commit
+    )
 
 
 def _bench_edgesim(results, rounds, commit, quick) -> None:

@@ -354,9 +354,9 @@ class PTExperiment:
             if jobs > 1 and len(processor_counts) > 1:
                 from repro.parallel import ParallelTrainer, get_shared_store
 
-                scenario_ref = get_shared_store().share(
-                    f"sweep.scenario:{id(self.scenario)}", self.scenario
-                )
+                shared = get_shared_store()
+                key = f"sweep.scenario:{id(self.scenario)}"
+                scenario_ref = shared.share(key, self.scenario)
                 points = [
                     _ProcessorPoint(
                         scenario=scenario_ref,
@@ -373,7 +373,11 @@ class PTExperiment:
                     label="sweep.processors",
                     estimated_cost_s=EST_SWEEP_POINT_S * len(points),
                 )
-                for result in trainer.map(points):
+                try:
+                    results = trainer.map(points)
+                finally:
+                    shared.release(key)
+                for result in results:
                     self._last_plan_seconds = result["plan_seconds"]
                     self._last_solve_counts = result["solve_counts"]
                     self._append_point(result["means"], times, plan_seconds, solve_counts)

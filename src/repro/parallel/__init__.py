@@ -11,10 +11,12 @@ Three layers:
   payloads over the pool, with worker telemetry merged back idempotently
   (``trainer.py``).
 
-Used by per-cluster CRL training (:meth:`repro.rl.crl.CRLModel.fit`),
-the sharded importance evaluators (:mod:`repro.importance`), the Fig. 9
-per-point sweep (:class:`repro.core.experiment.PTExperiment`), and the
-multi-seed runner (:func:`repro.core.experiment.run_multiseed`).
+Used by multi-agent CRL training (:meth:`repro.rl.crl.CRLModel.fit`,
+:meth:`~repro.rl.crl.CRLModel.warm_online_agents`), the Fig. 9 per-point
+sweep (:class:`repro.core.experiment.PTExperiment`), the multi-seed
+runner (:func:`repro.core.experiment.run_multiseed`), the serving
+dispatcher (:class:`repro.serve.dispatcher.Dispatcher`) and the sharded
+fleet runner (:func:`repro.edgesim.shard.run_fleet_sharded`).
 """
 
 from repro.parallel.pool import WorkerPool, get_worker_pool, shutdown_worker_pool
@@ -24,7 +26,6 @@ from repro.parallel.shm import (
     get_shared_store,
     release_shared_store,
     resolve_shared,
-    share_environment_store,
 )
 from repro.parallel.trainer import (
     ParallelTrainer,
@@ -43,6 +44,5 @@ __all__ = [
     "merge_worker_spans",
     "release_shared_store",
     "resolve_shared",
-    "share_environment_store",
     "shutdown_worker_pool",
 ]

@@ -1,11 +1,10 @@
 """Shared-memory data plane for worker fan-outs (plasma-store style).
 
-PR 3's fan-out re-pickled the full payload of every task into every
-worker, so large read-only inputs — the building dataset's sensing
-matrices, :class:`~repro.rl.crl.EnvironmentStore` stacked matrices, the
-Table I feature arrays, and the sharded fleet runner's whole-fleet SoA
-node columns (:func:`repro.edgesim.shard.fleet_columns`, sliced per
-region group inside each worker) — dominated dispatch cost. This module
+Re-pickling the full payload of every task into every worker lets
+large read-only inputs — the CRL TATIM geometry, the Fig. 9 sweep's
+scenario, and the sharded fleet runner's whole-fleet SoA node columns
+(:func:`repro.edgesim.shard.fleet_columns`, sliced per region group
+inside each worker) — dominate dispatch cost. This module
 moves that data onto a zero-copy plane, the shape Ray's plasma store
 proved out (Moritz et al., see PAPERS.md):
 
@@ -20,8 +19,7 @@ proved out (Moritz et al., see PAPERS.md):
 - Blocks are **refcounted** in the publishing process (``share`` acquires,
   :meth:`~SharedArrayStore.release` drops; at zero the segment is
   unlinked) and **versioned**: a ref's token embeds the publisher's
-  version, and :func:`share_environment_store` wires republication to the
-  existing ``EnvironmentStore.version``/``subscribe`` mutation hooks so a
+  version, and sharing a key at a new version drops the old block, so a
   stale block can never be attached as current.
 - When shared memory is unavailable (no ``/dev/shm``, permissions,
   exhausted space) the store degrades to carrying the pickled payload
@@ -218,7 +216,6 @@ class SharedArrayStore:
         self._blocks: dict[str, _Block] = {}
         self._counter = 0
         self._pid = os.getpid()
-        self._watched: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -326,40 +323,6 @@ class SharedArrayStore:
     def release_all(self) -> None:
         for key in list(self._blocks):
             self.drop(key)
-
-    # ------------------------------------------------------------------
-    def watch(self, publisher, key: str) -> None:
-        """Drop ``key`` whenever ``publisher`` mutates (idempotent per pair).
-
-        ``publisher`` must expose ``subscribe(callback)`` — e.g.
-        :class:`repro.rl.crl.EnvironmentStore`. The next ``share`` for the
-        key (at the store's new ``version``) publishes a fresh block.
-        """
-        if self._watched.get(id(publisher)) == (key,):
-            return
-        publisher.subscribe(lambda: self.drop(key))
-        self._watched[id(publisher)] = (key,)
-
-
-def share_environment_store(store, *, shared: SharedArrayStore | None = None) -> dict:
-    """Publish an ``EnvironmentStore``'s stacked matrices, version-tagged.
-
-    Returns ``{"sensing": ref, "importance": ref}``. The blocks carry the
-    store's current ``version``; a mutation (``add``) drops them via the
-    ``subscribe`` hook, so the next call republishes fresh stacks and
-    workers holding old refs keep attaching the *old immutable* block —
-    stale data is impossible to mistake for current because the token
-    embeds the version.
-    """
-    shared = shared if shared is not None else get_shared_store()
-    key = f"envstore:{id(store)}"
-    shared.watch(store, key)
-    ref = shared.share(
-        key,
-        {"sensing": store.sensing_matrix, "importance": store.importance_matrix},
-        version=store.version,
-    )
-    return {"store": ref}
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,12 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.ml.kmeans import KMeans
 from repro.ml.knn import nearest_indices
-from repro.parallel import ParallelTrainer, get_shared_store, resolve_shared
+from repro.parallel import (
+    ParallelTrainer,
+    get_shared_store,
+    get_worker_pool,
+    resolve_shared,
+)
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.env import AllocationEnv
 from repro.rl.replay import Transition
@@ -250,18 +255,13 @@ class CRLModel:
         step (a standard learning-from-demonstration warm start). Disable
         to measure pure exploration (ablation bench).
     jobs:
-        Worker processes for per-cluster training (offline mode). The
-        clusters are independent, so ``jobs=N`` fans them out over a
-        process pool; seeds are derived up front in a fixed order, so any
-        ``jobs`` value produces byte-identical agents. ``1`` trains
-        serially in-process.
-    stacked:
-        Route multi-agent training through the in-process lockstep
-        trainer (:class:`~repro.rl.stacked.LockstepTrainer`), which fuses
-        the per-step forward/backward of all agents into stacked kernels.
-        Default ``None`` auto-enables it when ``jobs == 1`` (the stacked
-        path is an in-process alternative to process fan-out). The
-        trained agents are byte-identical either way.
+        Worker processes for multi-agent training (offline fits and
+        :meth:`warm_online_agents`). The agents are independent, so when
+        the worker pool agrees that fan-out pays, they train in worker
+        processes; otherwise they train in-process in one lockstep pass
+        (:func:`train_allocation_agents_stacked`). Seeds are derived up
+        front in a fixed order and the two paths are bitwise identical,
+        so any ``jobs`` value produces byte-identical agents.
     """
 
     def __init__(
@@ -275,7 +275,6 @@ class CRLModel:
         dqn_config: DQNConfig | None = None,
         seed_demonstrations: bool = True,
         jobs: int = 1,
-        stacked: bool | None = None,
         seed=None,
     ) -> None:
         if mode not in ("offline", "online"):
@@ -291,7 +290,6 @@ class CRLModel:
         self.episodes = int(episodes)
         self.seed_demonstrations = bool(seed_demonstrations)
         self.jobs = int(jobs)
-        self.stacked = stacked
         self.dqn_config = dqn_config if dqn_config is not None else DQNConfig()
         self._rng = as_rng(seed)
         self.store: EnvironmentStore | None = None
@@ -326,18 +324,10 @@ class CRLModel:
             help="kNN environment-definition latency",
         )
 
-    def _use_stacked(self, jobs: int, n_tasks: int) -> bool:
-        """Whether a multi-agent training round should run lockstep-stacked."""
-        if n_tasks < 2:
-            return False
-        if self.stacked is not None:
-            return bool(self.stacked)
-        return jobs == 1
-
     # ------------------------------------------------------------------
-    def _train_task(self, importance: np.ndarray, seed: int) -> AgentTrainTask:
+    def _train_task(self, geometry, importance: np.ndarray, seed: int) -> AgentTrainTask:
         return AgentTrainTask(
-            geometry=self.geometry,
+            geometry=geometry,
             importance=np.asarray(importance, dtype=float),
             dqn_config=self.dqn_config,
             episodes=self.episodes,
@@ -346,26 +336,59 @@ class CRLModel:
             mode=self.mode,
         )
 
-    def _train_agent(self, importance: np.ndarray) -> DQNAgent:
-        """Train one agent (online mode's lazy path).
+    def _train_agents(self, importances: list, seeds: list, *, label: str) -> list[DQNAgent]:
+        """One agent per (importance, seed), in order.
 
-        Routed through :class:`ParallelTrainer` so the pool's
-        work-vs-overhead pre-check applies: a single payload never
-        clears it, so lone cache misses keep training serially
-        in-process, while the shared code path means bulk warming
-        (:meth:`warm_online_agents`) and lazy misses produce
-        byte-identical agents.
+        The pool decides once, up front, whether the round fans out. Only
+        then is the geometry published to shared memory (and released when
+        the map returns); otherwise every agent trains in-process in one
+        lockstep pass. Both paths return byte-identical agents.
+        """
+        estimated_s = EST_TRAIN_S_PER_EPISODE * self.episodes * len(importances)
+        jobs = get_worker_pool().effective_jobs(
+            self.jobs, len(importances), estimated_cost_s=estimated_s
+        )
+        if jobs == 1:
+            tasks = [
+                self._train_task(self.geometry, importance, seed)
+                for importance, seed in zip(importances, seeds)
+            ]
+            if len(tasks) == 1:
+                return [train_allocation_agent(tasks[0])]
+            return train_allocation_agents_stacked(tasks)
+        shared = get_shared_store()
+        key = f"crl.geometry:{id(self.geometry)}"
+        # One shared-memory publication instead of one pickled geometry
+        # per task; workers attach it zero-copy.
+        geometry = shared.share(key, self.geometry)
+        try:
+            tasks = [
+                self._train_task(geometry, importance, seed)
+                for importance, seed in zip(importances, seeds)
+            ]
+            # force: the pool already agreed to fan out above.
+            trainer = ParallelTrainer(
+                train_allocation_agent,
+                jobs=jobs,
+                label=label,
+                estimated_cost_s=estimated_s,
+                force=True,
+            )
+            return trainer.map(tasks)
+        finally:
+            shared.release(key)
+
+    def _train_agent(self, importance: np.ndarray) -> DQNAgent:
+        """Train one agent in-process (online mode's lazy path).
+
+        Draws its seed from the model RNG exactly as
+        :meth:`warm_online_agents` does per missing key, so lazily trained
+        and bulk-warmed agents are byte-identical.
         """
         seed = int(self._rng.integers(0, 2**31 - 1))
-        trainer = ParallelTrainer(
-            train_allocation_agent,
-            jobs=self.jobs,
-            label="crl.online_train",
-            estimated_cost_s=EST_TRAIN_S_PER_EPISODE * self.episodes,
-        )
-        return trainer.map([self._train_task(importance, seed)])[0]
+        return train_allocation_agent(self._train_task(self.geometry, importance, seed))
 
-    def warm_online_agents(self, sensing_rows, *, jobs: int | None = None) -> int:
+    def warm_online_agents(self, sensing_rows) -> int:
         """Pre-train the online-mode agents a batch of queries will need.
 
         The lazy path trains each missing neighbourhood agent at first
@@ -373,20 +396,18 @@ class CRLModel:
         evaluation sweep, a day of forecast queries), this collects the
         *distinct missing* neighbourhood keys in first-occurrence order,
         draws each agent's seed from the model RNG in that same order —
-        exactly the draws the lazy path would have made — and fans the
-        independent trainings out through :class:`ParallelTrainer`.
-        Subsequent :meth:`allocate` calls then hit the agent cache, and
-        the warmed agents are byte-identical to lazily trained ones.
-        Returns the number of agents trained.
+        exactly the draws the lazy path would have made — and trains the
+        independent agents together (fanned out over ``jobs`` workers or
+        stacked in-process, see :meth:`fit`). Subsequent :meth:`allocate`
+        calls then hit the agent cache, and the warmed agents are
+        byte-identical to lazily trained ones. Returns the number of
+        agents trained.
         """
         if self.mode != "online":
             raise ConfigurationError(
                 f"warm_online_agents requires mode='online', got {self.mode!r}"
             )
         self._require_fitted()
-        jobs = self.jobs if jobs is None else int(jobs)
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         missing: dict[tuple, np.ndarray] = {}
         for row in sensing_rows:
             key = self._environment_key(row)
@@ -395,46 +416,24 @@ class CRLModel:
             missing[key] = self.estimate_importance(row)
         if not missing:
             return 0
-        with span("rl.crl.online_warm", agents=len(missing), jobs=jobs):
-            geometry = self.geometry
-            if jobs > 1 and len(missing) > 1:
-                geometry = get_shared_store().share(
-                    f"crl.geometry:{id(self.geometry)}", self.geometry
-                )
+        with span("rl.crl.online_warm", agents=len(missing), jobs=self.jobs):
             # Seeds are drawn per missing key in first-occurrence order:
             # the exact RNG stream serial lazy training would consume.
-            tasks = [
-                AgentTrainTask(
-                    geometry=geometry,
-                    importance=np.asarray(importance, dtype=float),
-                    dqn_config=self.dqn_config,
-                    episodes=self.episodes,
-                    seed=int(self._rng.integers(0, 2**31 - 1)),
-                    seed_demonstrations=self.seed_demonstrations,
-                    mode=self.mode,
-                )
-                for importance in missing.values()
-            ]
-            if self._use_stacked(jobs, len(tasks)):
-                trained = train_allocation_agents_stacked(tasks)
-            else:
-                trainer = ParallelTrainer(
-                    train_allocation_agent,
-                    jobs=jobs,
-                    label="crl.online_warm",
-                    estimated_cost_s=EST_TRAIN_S_PER_EPISODE * self.episodes * len(tasks),
-                )
-                trained = trainer.map(tasks)
+            seeds = [int(self._rng.integers(0, 2**31 - 1)) for _ in missing]
+            trained = self._train_agents(
+                list(missing.values()), seeds, label="crl.online_warm"
+            )
             for key, agent in zip(missing, trained):
                 self._online_agents[key] = agent
-        return len(tasks)
+        return len(trained)
 
     def fit(self, store: EnvironmentStore) -> "CRLModel":
         """Training phase of Algorithm 1 over the historical store.
 
         Offline mode trains one DQN per k-means cluster; the clusters are
         independent, so with ``jobs > 1`` they train in parallel worker
-        processes (results identical to the serial run by construction).
+        processes when the pool agrees that pays, and in one in-process
+        lockstep pass otherwise (identical agents either way).
         """
         if len(store) == 0:
             raise DataError("cannot fit CRL on an empty environment store")
@@ -450,39 +449,11 @@ class CRLModel:
                 importance = store.importance_matrix
                 clusters = [int(c) for c in np.unique(labels)]
                 seeds = derive_seeds(self._rng, len(clusters))
-                estimated_s = EST_TRAIN_S_PER_EPISODE * self.episodes * len(clusters)
-                geometry = self.geometry
-                if self.jobs > 1 and len(clusters) > 1:
-                    # One shared-memory publication instead of one pickled
-                    # geometry per task; workers attach zero-copy (and the
-                    # serial fallback resolves the ref from its own cache).
-                    geometry = get_shared_store().share(
-                        f"crl.geometry:{id(self.geometry)}", self.geometry
-                    )
-                tasks = [
-                    AgentTrainTask(
-                        geometry=geometry,
-                        importance=np.asarray(
-                            importance[labels == cluster].mean(axis=0), dtype=float
-                        ),
-                        dqn_config=self.dqn_config,
-                        episodes=self.episodes,
-                        seed=int(seed),
-                        seed_demonstrations=self.seed_demonstrations,
-                        mode=self.mode,
-                    )
-                    for cluster, seed in zip(clusters, seeds)
-                ]
-                if self._use_stacked(self.jobs, len(tasks)):
-                    trained = train_allocation_agents_stacked(tasks)
-                else:
-                    trainer = ParallelTrainer(
-                        train_allocation_agent,
-                        jobs=self.jobs,
-                        label="crl.fit",
-                        estimated_cost_s=estimated_s,
-                    )
-                    trained = trainer.map(tasks)
+                trained = self._train_agents(
+                    [importance[labels == cluster].mean(axis=0) for cluster in clusters],
+                    seeds,
+                    label="crl.fit",
+                )
                 for cluster, agent in zip(clusters, trained):
                     self._cluster_agents[cluster] = agent
         return self

@@ -73,3 +73,18 @@ class TestSweepParity:
         for method, seconds in parallel.plan_seconds.items():
             assert len(seconds) == len(POINTS), method
             assert all(s >= 0.0 for s in seconds)
+
+
+def test_forced_sweep_releases_its_scenario_block(monkeypatch):
+    """The per-point fan-out publishes the scenario only for its map."""
+    from repro.parallel import get_shared_store, shutdown_worker_pool
+
+    scenario = SyntheticScenario(
+        ScenarioConfig(n_tasks=8, n_regimes=2, n_history=4, n_eval=1, seed=3)
+    )
+    monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
+    try:
+        PTExperiment(scenario, crl_episodes=2, jobs=2, seed=0).sweep_processors(POINTS)
+        assert get_shared_store().ref_for(f"sweep.scenario:{id(scenario)}") is None
+    finally:
+        shutdown_worker_pool()

@@ -57,18 +57,18 @@ def _hex(matrix: np.ndarray) -> list[str]:
     return [float(value).hex() for value in np.asarray(matrix, dtype=float).ravel()]
 
 
-def case_hex(name: str, *, jobs: int = 1) -> list[str]:
+def case_hex(name: str) -> list[str]:
     """One pinned case as a flat list of ``float.hex`` strings."""
     if name == "pipeline":
         dataset, model_set = pipeline_objects(PIPELINE)
-        evaluator = ImportanceEvaluator(dataset, model_set, jobs=jobs)
+        evaluator = ImportanceEvaluator(dataset, model_set)
         return _hex(evaluator.importance_matrix(dataset.days))
     dataset, model_set = pipeline_objects(SMALL)
     if name == "unclipped":
-        evaluator = ImportanceEvaluator(dataset, model_set, clip_negative=False, jobs=jobs)
+        evaluator = ImportanceEvaluator(dataset, model_set, clip_negative=False)
         return _hex(evaluator.importance_matrix(UNCLIPPED_DAYS))
     if name == "shapley":
-        shapley = ShapleyImportanceEvaluator(dataset, model_set, jobs=jobs, **SHAPLEY)
+        shapley = ShapleyImportanceEvaluator(dataset, model_set, **SHAPLEY)
         return _hex(np.vstack([shapley.importance_for_day(day) for day in SHAPLEY_DAYS]))
     raise KeyError(name)
 

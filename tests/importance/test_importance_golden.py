@@ -38,36 +38,21 @@ def golden() -> dict:
     return json.loads((GOLDEN_DIR / "importance_golden.json").read_text(encoding="utf-8"))
 
 
-@pytest.fixture
-def force_parallel(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
-    yield
-    from repro.parallel import shutdown_worker_pool
-
-    shutdown_worker_pool()
-
-
-def _assert_case(golden: dict, name: str, jobs: int) -> None:
-    values = MAKE_GOLDENS.case_hex(name, jobs=jobs)
+def _assert_case(golden: dict, name: str) -> None:
+    values = MAKE_GOLDENS.case_hex(name)
     assert values == golden[name]["hex"].split()
     assert MAKE_GOLDENS.values_sha256(values) == golden[name]["sha256"]
 
 
 class TestGoldens:
     def test_pipeline_matrix_matches_golden(self, golden):
-        _assert_case(golden, "pipeline", jobs=1)
+        _assert_case(golden, "pipeline")
 
     def test_unclipped_matrix_matches_golden(self, golden):
-        _assert_case(golden, "unclipped", jobs=1)
+        _assert_case(golden, "unclipped")
 
     def test_shapley_matches_golden(self, golden):
-        _assert_case(golden, "shapley", jobs=1)
-
-    def test_unclipped_matrix_matches_golden_across_workers(self, golden, force_parallel):
-        _assert_case(golden, "unclipped", jobs=2)
-
-    def test_shapley_matches_golden_across_workers(self, golden, force_parallel):
-        _assert_case(golden, "shapley", jobs=2)
+        _assert_case(golden, "shapley")
 
 
 def _definition_one(dataset, model_set, day: int, clip_negative: bool) -> np.ndarray:

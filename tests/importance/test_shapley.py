@@ -42,6 +42,24 @@ class TestShapleyEvaluator:
         ).importance_for_day(day)
         assert np.allclose(a, b)
 
+    def test_cross_call_cache_does_not_change_results(
+        self, small_dataset, small_model_set
+    ):
+        evaluator = ShapleyImportanceEvaluator(
+            small_dataset, small_model_set, n_permutations=3, seed=2
+        )
+        fresh = ShapleyImportanceEvaluator(
+            small_dataset, small_model_set, n_permutations=3, seed=2
+        )
+        evaluator.importance_for_day(1)  # warm the day-1 coalition memo
+        # Re-seed a twin evaluator and replay both calls: the warm memo
+        # must be invisible in the results.
+        warm = ShapleyImportanceEvaluator(
+            small_dataset, small_model_set, n_permutations=3, seed=2
+        )
+        warm._value_caches = evaluator._value_caches
+        assert np.array_equal(warm.importance_for_day(1), fresh.importance_for_day(1))
+
 
 class TestMetricComparison:
     def test_both_metrics_returned(self, small_dataset, small_model_set):

@@ -91,12 +91,11 @@ class TestEffectiveJobs:
         per worker can't repay dispatch when workers fight the parent for
         cycles. The recalibrated cost model must decline both fan-outs.
         """
-        from repro.importance.shapley import EST_SHAPLEY_S_PER_PERMUTATION
         from repro.rl.crl import EST_TRAIN_S_PER_EPISODE
 
         monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 2)
         crl_cost = EST_TRAIN_S_PER_EPISODE * 30 * 4  # 4 clusters, 30 episodes
-        shapley_cost = EST_SHAPLEY_S_PER_PERMUTATION * 8  # 8 permutations
+        shapley_cost = 0.01 * 8  # 8 permutations at ~10 ms each
         registry = MetricsRegistry()
         with use_registry(registry):
             assert pool.effective_jobs(4, 4, estimated_cost_s=crl_cost) == 1

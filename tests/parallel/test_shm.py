@@ -14,11 +14,9 @@ from repro.parallel import (
     SharedBlobRef,
     get_shared_store,
     resolve_shared,
-    share_environment_store,
     shutdown_worker_pool,
 )
 from repro.parallel import shm as shm_module
-from repro.rl.crl import EnvironmentStore
 from repro.telemetry import MetricsRegistry, use_registry
 
 
@@ -91,31 +89,6 @@ class TestRefcounts:
         assert old.token != new.token
         assert f"/dev/shm/{old.name}" not in _segments()
         assert np.array_equal(new.load(), np.ones(8) * 2)
-
-
-class TestInvalidation:
-    def _env_store(self) -> EnvironmentStore:
-        env = EnvironmentStore()
-        env.add(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
-        env.add(np.array([0.3, 0.4]), np.array([2.0, 1.0, 0.5]))
-        return env
-
-    def test_environment_store_mutation_invalidates_block(self):
-        shared = SharedArrayStore()
-        try:
-            env = self._env_store()
-            first = share_environment_store(env, shared=shared)["store"]
-            key = f"envstore:{id(env)}"
-            assert shared.refcount(key) == 1
-            # Mutating the publisher drops the block via the subscribe hook.
-            env.add(np.array([0.5, 0.6]), np.array([0.1, 0.2, 0.3]))
-            assert shared.refcount(key) == 0
-            second = share_environment_store(env, shared=shared)["store"]
-            assert second.token != first.token  # version-tagged: stale ≠ current
-            stacks = second.load()
-            assert stacks["sensing"].shape[0] == 3
-        finally:
-            shared.release_all()
 
 
 class TestLeaksAndShutdown:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+import repro.rl.crl as crl_module
 from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.rl.crl import CRLModel, EnvironmentStore
+from repro.parallel import get_shared_store, shutdown_worker_pool
+from repro.rl.crl import (
+    AgentTrainTask,
+    CRLModel,
+    EnvironmentStore,
+    train_allocation_agent,
+    train_allocation_agents_stacked,
+)
 from repro.rl.dqn import DQNConfig
 from repro.tatim.generators import random_instance
 
@@ -24,6 +32,23 @@ def store(geometry, rng):
         else:
             store.add(rng.normal(8.0, 0.3, size=4), base_b * (1 + 0.1 * rng.normal(size=8)))
     return store, base_a, base_b
+
+
+@pytest.fixture
+def force_parallel(monkeypatch):
+    """Real worker processes even where the pool would decline them."""
+    monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
+    yield
+    shutdown_worker_pool()
+
+
+def _agent_state(agent) -> tuple:
+    return (
+        agent.online._flat_params.tobytes(),
+        agent.target._flat_params.tobytes(),
+        np.float64(agent.epsilon).tobytes(),
+        agent._steps,
+    )
 
 
 class TestEnvironmentStore:
@@ -168,29 +193,49 @@ class TestEnvironmentStoreCache:
 
 
 class TestParallelFit:
-    def test_parallel_fit_matches_serial(self, geometry, store):
-        """jobs=2 must train byte-identical agents to jobs=1."""
+    def _model(self, geometry, jobs):
+        return CRLModel(
+            geometry,
+            n_clusters=2,
+            episodes=15,
+            dqn_config=DQNConfig(hidden_sizes=(16,)),
+            jobs=jobs,
+            seed=0,
+        )
+
+    def test_parallel_fit_matches_serial(self, geometry, store, force_parallel):
+        """Agents trained in worker processes equal jobs=1 agents."""
         environments, *_ = store
-        serial = CRLModel(
-            geometry,
-            n_clusters=2,
-            episodes=15,
-            dqn_config=DQNConfig(hidden_sizes=(16,)),
-            jobs=1,
-            seed=0,
-        ).fit(environments)
-        parallel = CRLModel(
-            geometry,
-            n_clusters=2,
-            episodes=15,
-            dqn_config=DQNConfig(hidden_sizes=(16,)),
-            jobs=2,
-            seed=0,
-        ).fit(environments)
+        serial = self._model(geometry, jobs=1).fit(environments)
+        parallel = self._model(geometry, jobs=2).fit(environments)
         for sensing in (np.zeros(4), np.full(4, 8.0)):
             assert np.array_equal(
                 serial.allocate(sensing).matrix, parallel.allocate(sensing).matrix
             )
+        # The fan-out released the geometry it published.
+        assert get_shared_store().ref_for(f"crl.geometry:{id(geometry)}") is None
+
+    def test_declined_fanout_trains_stacked_without_publishing(
+        self, geometry, store, monkeypatch
+    ):
+        """When the pool declines jobs=2, training is one in-process
+        lockstep pass and nothing is published to shared memory."""
+        environments, *_ = store
+        monkeypatch.delenv("REPRO_POOL_FORCE_PARALLEL", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        calls = []
+
+        def recording_stacked(tasks):
+            calls.append(len(tasks))
+            return train_allocation_agents_stacked(tasks)
+
+        monkeypatch.setattr(crl_module, "train_allocation_agents_stacked", recording_stacked)
+        shared = get_shared_store()
+        blocks_before = len(shared)
+        model = self._model(geometry, jobs=2).fit(environments)
+        assert calls == [len(model._cluster_agents)] == [2]
+        assert len(shared) == blocks_before
+        assert shared.ref_for(f"crl.geometry:{id(geometry)}") is None
 
     def test_invalid_jobs_rejected(self, geometry):
         with pytest.raises(ConfigurationError):
@@ -252,19 +297,38 @@ class TestOnlineWarming:
         assert first >= 1
         assert model.warm_online_agents([np.zeros(4)]) == 0
 
-    def test_warm_parallel_matches_serial(self, geometry, store):
-        """jobs=2 warming must produce the same agents as jobs=1."""
+    def test_warm_parallel_matches_serial(self, geometry, store, force_parallel):
+        """Warming in worker processes produces the jobs=1 agents."""
         environments, *_ = store
         queries = [np.zeros(4), np.full(4, 8.0)]
-        serial = self._online_model(geometry).fit(environments)
-        serial.warm_online_agents(queries, jobs=1)
-        parallel = self._online_model(geometry).fit(environments)
-        parallel.warm_online_agents(queries, jobs=2)
+        serial = self._online_model(geometry, jobs=1).fit(environments)
+        serial.warm_online_agents(queries)
+        parallel = self._online_model(geometry, jobs=2).fit(environments)
+        parallel.warm_online_agents(queries)
         assert set(serial._online_agents) == set(parallel._online_agents)
         for query in queries:
             assert np.array_equal(
                 serial.allocate(query).matrix, parallel.allocate(query).matrix
             )
+
+
+class TestStackedTraining:
+    def test_stacked_matches_per_agent_training(self, geometry, rng):
+        """One lockstep pass trains exactly the agents a per-task loop does."""
+        config = DQNConfig(hidden_sizes=(16,))
+        tasks = [
+            AgentTrainTask(
+                geometry=geometry,
+                importance=np.abs(rng.normal(size=8)),
+                dqn_config=config,
+                episodes=12,
+                seed=seed,
+            )
+            for seed in (3, 17, 29)
+        ]
+        stacked = train_allocation_agents_stacked(tasks)
+        per_agent = [train_allocation_agent(task) for task in tasks]
+        assert [_agent_state(a) for a in stacked] == [_agent_state(a) for a in per_agent]
 
 
 class TestMetricsPreRegistration:
