@@ -7,14 +7,14 @@ Usage::
     python -m repro fig11 [--bandwidths 10 20 40 80 120]
     python -m repro longtail [--days 60]
     python -m repro pipeline [--days 30]
-    python -m repro bench    [--jobs 4 --full --check --threshold 1.25]
+    python -m repro bench    [--jobs 4 --check --threshold 1.25]
     python -m repro serve    [--arrival-rate 500 --duration-s 2 --queue-depth 512]
     python -m repro loadgen  [--arrival-rate 2000 --duration-s 2 --jobs 4]
     python -m repro top      [--endpoint http://127.0.0.1:9109 | --file timeseries.jsonl]
 
 Each subcommand prints the corresponding figure's table; `pipeline` runs
 the full building-data DCTA system once; `bench` runs the tracked
-performance benchmarks and merges results into ``BENCH_perf.json``
+performance benchmarks and writes their results to ``BENCH_perf.json``
 (``--check`` additionally compares against a same-machine baseline and
 exits non-zero on regression); `serve` runs the allocation service
 against a generated open-loop traffic trace and prints its KPI table;
@@ -485,17 +485,14 @@ def _command_bench(args: argparse.Namespace) -> int:
 
     baseline = None
     if args.check:
-        # Snapshot the baseline before run_bench merges fresh numbers
-        # into the same file.
+        # Snapshot the baseline before run_bench overwrites the same file.
         baseline = load_bench_json(args.baseline)
         if not baseline:
             print(f"bench --check: no usable baseline at {args.baseline}", file=sys.stderr)
             return 2
         for warning in baseline_warnings(baseline):
             print(f"bench --check: WARNING: {warning}", file=sys.stderr)
-    results, notes = run_bench(
-        jobs=args.jobs, quick=not args.full, rounds=args.rounds, out=args.out
-    )
+    results, notes = run_bench(jobs=args.jobs, rounds=args.rounds, out=args.out)
     print(bench_table(results))
     for note in notes:
         print(note)
@@ -798,17 +795,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--jobs", type=int, default=4, help="worker processes for the parallel-train bench"
     )
-    bench.add_argument(
-        "--full",
-        action="store_true",
-        help="full-size workloads (default is CI-sized quick mode)",
-    )
-    bench.add_argument("--rounds", type=int, default=3, help="timing rounds per bench")
+    bench.add_argument("--rounds", type=int, default=3, help="minimum timing rounds per bench")
     bench.add_argument(
         "--out",
         metavar="PATH",
         default="BENCH_perf.json",
-        help="results JSON to merge into (use /dev/null to skip)",
+        help="results JSON to write (use /dev/null to skip)",
     )
     bench.add_argument(
         "--check",

@@ -1,69 +1,82 @@
 """Tracked performance benchmarks behind ``repro bench``.
 
-Times the pipeline's hot paths — building-dataset generation, the full
-:class:`~repro.core.dcta_system.DCTASystem` build, per-cluster CRL
-training at ``jobs=1`` vs ``jobs=N``, cold- vs warm-cache planning, and
-the allocation-serving data plane (``serve_*``) — and writes the results
-to ``BENCH_perf.json`` at the repo root so the performance trajectory is
-tracked commit over commit.
+Every ``BENCH_perf.json`` entry is defined once, in :data:`BENCHES`: a
+:class:`Bench` names the entries it writes, sets up their workload and
+checks the results (raising :class:`AssertionError`) before anything is
+recorded. Each entry holds ``mean_s``, ``std_s``, ``rounds``, the
+``commit`` and python/numpy stamps, plus informational extras
+(``throughput_rps``, ``events_per_sec``, ``peak_alloc_mib``, ...) that
+the regression gate ignores.
 
-Schema (one entry per bench)::
+Timing rule: one timer interleaves a bench's variants (A B A B, not
+A A B B), so clock drift does not bias whichever runs later. Every
+variant runs at least ``rounds`` rounds; a written one keeps running
+until its rounds add up to :data:`MIN_TIMED_S`. A variant the bench
+does not write (``<entry>@<what>``) is a reference for the check.
 
-    {"<bench_name>": {"mean_s": float, "std_s": float, "rounds": int, "commit": str}}
+Memory rule: a bench with ``memory=True`` calls each written variant
+once more, untimed, under :mod:`tracemalloc` (~5x slower) and records
+the peak as ``peak_alloc_mib``: this process's Python and numpy
+allocations, not its worker processes'.
 
-Serve and fleet benches append informational KPI extras
-(``throughput_rps``, ``latency_p95_ms``, ``rejected``,
-``events_per_sec``, ``peak_rss_mib``, ...) to their entries; the
-regression gate ignores them, and :func:`bench_table` surfaces them in
-the ``repro bench`` output. Peak RSS is always mebibytes
-(:func:`peak_rss_mib` normalizes the platform-dependent ``ru_maxrss``
-unit — KiB on Linux, bytes on macOS).
-
-:func:`write_bench_json` merges into an existing file, so partial runs
-(e.g. the pytest ``benchmarks/perf/`` suite, which reuses this writer)
-update their entries without clobbering the rest.
-
-:func:`check_regressions` closes the loop: ``repro bench --check``
-compares a fresh run against a baseline ``BENCH_perf.json`` with
-per-bench relative thresholds (plus a std-derived noise allowance and a
-floor below which micro-benches are informational only) and reports
-failures, so perf work is gated rather than just tracked.
+:func:`check_regressions` is the gate behind ``repro bench --check``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import time
+import tracemalloc
 from pathlib import Path
+from typing import Callable, ContextManager
 
 import numpy as np
 
-from repro.core.experiment import PTExperiment, build_allocators
+from repro.allocation.base import EpochContext, tatim_from_workload
+from repro.building.dataset import BuildingOperationConfig, BuildingOperationDataset
+from repro.core.dcta_system import DCTASystem, DCTASystemConfig
+from repro.core.experiment import build_allocators
 from repro.core.scenario import ScenarioConfig, SyntheticScenario
-from repro.allocation.base import EpochContext
+from repro.edgesim.fleet import FleetConfig, FleetSimulator
+from repro.edgesim.shard import result_digest, run_fleet_sharded
+from repro.edgesim.simulator import EdgeSimulator
 from repro.edgesim.testbed import scaled_testbed
+from repro.importance.importance import ImportanceEvaluator
+from repro.importance.shapley import ShapleyImportanceEvaluator
+from repro.parallel import get_worker_pool, shutdown_worker_pool
+from repro.rl.crl import AgentTrainTask, train_allocation_agent, train_allocation_agents_stacked
+from repro.rl.dqn import DQNAgent, DQNConfig
+from repro.rl.env import AllocationEnv, BatchedAllocationEnv
+from repro.serve import Dispatcher, ServeConfig, generate_trace
+from repro.serve import dispatcher as dispatcher_module
 from repro.tatim.cache import AllocationCache, use_allocation_cache
-from repro.telemetry import (
-    MetricsRegistry,
-    get_registry,
-    telemetry_enabled,
-    use_registry,
-)
+from repro.tatim.generators import random_instance
+from repro.telemetry import MetricsRegistry, get_registry, telemetry_enabled, use_registry
+from repro.transfer.registry import make_strategy
+from repro.utils.rng import derive_seeds
 
-#: Default output path, relative to the current working directory (CI
-#: runs from the repo root; the pytest suite resolves the root itself).
+#: Default output path, relative to the current working directory.
 DEFAULT_BENCH_PATH = "BENCH_perf.json"
+
+#: Minimum summed time of a written variant's rounds. 0.5 s lifts the
+#: 0.01-0.03 s entries (fleet 10k, DQN greedy solves, importance) from
+#: three samples to 15-50 without stretching the whole run past a minute.
+MIN_TIMED_S = 0.5
 
 
 def bench_commit() -> str:
-    """Short git commit hash, or ``"unknown"`` outside a checkout."""
+    """Short git commit hash (``-dirty`` if the tree has uncommitted
+    changes), or ``"unknown"`` outside a checkout."""
     try:
         return (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                ["git", "describe", "--always", "--dirty", "--abbrev=7"],
                 capture_output=True,
                 text=True,
                 timeout=10,
@@ -110,38 +123,16 @@ def record(
 
 
 def write_bench_json(results: dict, path=DEFAULT_BENCH_PATH) -> None:
-    """Merge ``results`` into the JSON file at ``path`` (create if absent)."""
-    path = Path(path)
-    merged: dict = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            merged = {}
-    merged.update(results)
-    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``results`` to ``path``, replacing the file: one run, one file."""
+    Path(path).write_text(
+        json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 #: Entry keys every bench carries; anything else is an informational
-#: extra (serving KPIs, events/sec, peak RSS, ...) surfaced by
+#: extra (serving KPIs, events/sec, peak allocation, ...) surfaced by
 #: :func:`bench_table` rather than living only in ``BENCH_perf.json``.
 _CORE_ENTRY_KEYS = frozenset({"mean_s", "std_s", "rounds", "commit", "python", "numpy"})
-
-
-def peak_rss_mib() -> float:
-    """Process peak RSS in MiB, normalized across platforms.
-
-    ``resource.getrusage(...).ru_maxrss`` is kibibytes on Linux but bytes
-    on macOS; converting here (once) keeps every ``peak_rss_mib`` bench
-    extra in the same unit regardless of where it was recorded.
-    """
-    import resource
-    import sys
-
-    peak = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
 
 
 def bench_table(results: dict) -> str:
@@ -167,52 +158,6 @@ def bench_table(results: dict) -> str:
         rows,
         title="repro bench",
     )
-
-
-def _timed(fn, rounds: int) -> tuple[float, float, object]:
-    """(mean seconds, population std, last result) over ``rounds`` calls."""
-    result = None
-    samples = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        result = fn()
-        samples.append(time.perf_counter() - started)
-    samples = np.asarray(samples)
-    return float(samples.mean()), float(samples.std()), result
-
-
-def _timed_interleaved(fns: dict, rounds: int) -> dict:
-    """Time several variants with interleaved rounds (A B A B ... not A A B B).
-
-    Clock speed drifts over a bench process's lifetime (thermal/turbo
-    decay, background load), so timing all of variant A's rounds before
-    variant B's biases whichever runs later. Interleaving spreads the
-    drift evenly across variants. Returns
-    ``{name: (mean_s, std_s, last_result)}``.
-    """
-    samples: dict = {name: [] for name in fns}
-    last: dict = {name: None for name in fns}
-    for _ in range(rounds):
-        for name, fn in fns.items():
-            started = time.perf_counter()
-            last[name] = fn()
-            samples[name].append(time.perf_counter() - started)
-    return {
-        name: (
-            float(np.mean(samples[name])),
-            float(np.std(samples[name])),
-            last[name],
-        )
-        for name in fns
-    }
-
-
-def _family_total(registry, name: str) -> float:
-    """Sum of a counter family across label sets (0 when absent)."""
-    for family in registry.families():
-        if family.name == name:
-            return float(sum(child.value for child in family.children.values()))
-    return 0.0
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +244,8 @@ def baseline_warnings(baseline: dict) -> list[str]:
     the gate:
 
     - **mixed commits** — entries recorded at different commits compare
-      the current run against several historical code states at once
-      (typical after partial pytest-suite merges); regenerate with one
-      full ``repro bench`` run;
+      the current run against several historical code states at once;
+      regenerate with one full ``repro bench`` run;
     - **runtime drift** — entries stamped with a different interpreter or
       numpy version than the current process (kernel-bound means shift
       across numpy releases). Entries predating the version stamps are
@@ -345,30 +289,85 @@ def load_bench_json(path=DEFAULT_BENCH_PATH) -> dict:
 
 
 # ----------------------------------------------------------------------
+# The registry
+
+
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """One variant's timing over its rounds and the result of its last call."""
+
+    mean_s: float
+    std_s: float
+    rounds: int
+    last: object
+
+
+@dataclasses.dataclass(frozen=True)
+class Bench:
+    """One registry entry.
+
+    ``names``: the keys it writes (``{jobs}`` is filled from ``--jobs``).
+    ``setup(jobs)``: a context manager yielding ``{variant: callable}``.
+    ``check(runs)``: raises :class:`AssertionError` on a wrong result.
+    ``extras(runs)``: ``{name: {key: value}}`` merged into the entries.
+    """
+
+    names: tuple[str, ...]
+    setup: Callable[[int], ContextManager[dict[str, Callable[[], object]]]]
+    check: Callable[[dict[str, Run]], None]
+    extras: Callable[[dict[str, Run]], dict[str, dict]] = lambda runs: {}
+    memory: bool = False
+
+    def entry_names(self, jobs: int) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(name.format(jobs=jobs) for name in self.names))
+
+
+def time_variants(variants: dict, rounds: int, written=()) -> dict[str, Run]:
+    """Time ``variants`` with interleaved rounds; see the module timing rule."""
+    samples: dict = {name: [] for name in variants}
+    last: dict = {}
+
+    def pending(name: str) -> bool:
+        taken = samples[name]
+        return len(taken) < rounds or (name in written and sum(taken) < MIN_TIMED_S)
+
+    while active := [name for name in variants if pending(name)]:
+        for name in active:
+            started = time.perf_counter()
+            last[name] = variants[name]()
+            samples[name].append(time.perf_counter() - started)
+    return {
+        name: Run(float(np.mean(taken)), float(np.std(taken)), len(taken), last[name])
+        for name, taken in samples.items()
+    }
+
+
+def peak_alloc_mib(fn: Callable[[], object]) -> float:
+    """Peak traced allocation of one ``fn()`` call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (1024.0 * 1024.0)
+    finally:
+        tracemalloc.stop()
+
+
 def run_bench(
     *,
     jobs: int = 4,
-    quick: bool = True,
     rounds: int = 3,
     out: str | None = DEFAULT_BENCH_PATH,
 ) -> tuple[dict, list[str]]:
-    """Run the tracked perf suite; returns (results, human-readable notes).
+    """Run every registry entry; returns (results, human-readable notes).
 
-    ``quick`` uses CI-sized workloads (the default); disable it for
-    higher-fidelity numbers. The cache benches always verify that cached
-    and uncached plans agree byte-for-byte before reporting speedups.
     The worker pool is warmed once up front so parallel benches measure
     steady-state dispatch, not spin-up; it is shut down (and its shared
     segments released) before returning.
     """
-    import os
-
-    from repro.parallel import get_worker_pool, shutdown_worker_pool
-
     commit = bench_commit()
+    rounds = max(1, rounds)
     results: dict = {}
-    notes: list[str] = []
-    notes.append(f"machine: {os.cpu_count() or 1} cpu(s); pool degrades to serial on 1")
+    notes = [f"machine: {os.cpu_count() or 1} cpu(s); pool degrades to serial on 1"]
     # Count solver/rollout invocations in the ambient registry when
     # telemetry is on (so cache hit-rate metrics reach the CLI exports),
     # else in a private one.
@@ -377,18 +376,23 @@ def run_bench(
         with use_registry(registry):
             if jobs > 1 and (os.cpu_count() or 1) > 1:
                 get_worker_pool().executor(min(jobs, os.cpu_count() or 1))
-            _bench_dataset(results, rounds, commit, quick)
-            _bench_system_build(results, rounds, commit, quick)
-            _bench_crl_train(results, rounds, commit, quick, jobs, notes)
-            _bench_stacked_train(results, rounds, commit, quick, notes)
-            _bench_dqn(results, rounds, commit, quick)
-            _bench_rollout_batch(results, rounds, commit, quick, notes)
-            _bench_importance(results, rounds, commit, quick)
-            _bench_edgesim(results, rounds, commit, quick)
-            _bench_fleet(results, rounds, commit, quick, notes)
-            _bench_fleet_sharded(results, rounds, commit, quick, notes)
-            _bench_plan_cache(results, rounds, commit, quick, notes, registry)
-            _bench_serve(results, rounds, commit, quick, jobs, notes)
+            for bench in BENCHES:
+                names = bench.entry_names(jobs)
+                with bench.setup(jobs) as variants:
+                    runs = time_variants(variants, rounds, names)
+                    bench.check(runs)
+                    extras = bench.extras(runs)
+                    if bench.memory:
+                        for name in names:
+                            extras.setdefault(name, {})["peak_alloc_mib"] = round(
+                                peak_alloc_mib(variants[name]), 2
+                            )
+                for name in names:
+                    run = runs[name]
+                    record(
+                        results, name, run.mean_s, run.rounds, std_s=run.std_s,
+                        commit=commit, extra=extras.get(name),
+                    )
     finally:
         shutdown_worker_pool()
     if out is not None:
@@ -397,77 +401,131 @@ def run_bench(
     return results, notes
 
 
-def _bench_dataset(results, rounds, commit, quick) -> None:
-    from repro.building.dataset import BuildingOperationConfig, BuildingOperationDataset
-
-    config = BuildingOperationConfig(
-        n_days=20 if quick else 90, n_buildings=2 if quick else 3, seed=7
-    )
-    mean_s, std_s, _ = _timed(lambda: BuildingOperationDataset(config).generate(), rounds)
-    record(results, "building_dataset_generate", mean_s, rounds, std_s=std_s, commit=commit)
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise AssertionError(message)
 
 
-def _bench_system_build(results, rounds, commit, quick) -> None:
-    from repro.building.dataset import BuildingOperationConfig
-    from repro.core.dcta_system import DCTASystem, DCTASystemConfig
-
-    config = DCTASystemConfig(
-        building=BuildingOperationConfig(
-            n_days=12 if quick else 30, n_buildings=2 if quick else 3, seed=0
-        ),
-        crl_episodes=4 if quick else 40,
-        seed=0,
-    )
-    mean_s, std_s, _ = _timed(lambda: DCTASystem(config).build(), rounds)
-    record(results, "dcta_system_build", mean_s, rounds, std_s=std_s, commit=commit)
+def _family_total(registry, name: str) -> float:
+    """Sum of a counter family across label sets (0 when absent)."""
+    for family in registry.families():
+        if family.name == name:
+            return float(sum(child.value for child in family.children.values()))
+    return 0.0
 
 
-def _train_scenario(quick: bool) -> SyntheticScenario:
+def _train_scenario() -> SyntheticScenario:
     return SyntheticScenario(
         ScenarioConfig(
-            n_tasks=24 if quick else 50,
-            n_regimes=4,
-            n_history=16 if quick else 32,
-            n_eval=3 if quick else 6,
-            fluctuation_sigma=0.7,
-            seed=0,
+            n_tasks=24, n_regimes=4, n_history=16, n_eval=3, fluctuation_sigma=0.7, seed=0
         )
     )
 
 
-def _bench_crl_train(results, rounds, commit, quick, jobs, notes) -> None:
-    scenario = _train_scenario(quick)
+def _context(epoch) -> EpochContext:
+    return EpochContext(sensing=epoch.sensing, features=epoch.features, day=epoch.day)
+
+
+def _small_allocators():
+    """(scenario, nodes, network, allocators) with a 10-episode CRL."""
+    scenario = _train_scenario()
+    nodes, network = scaled_testbed(6)
+    allocators = build_allocators(scenario, nodes, crl_episodes=10, crl_clusters=3, seed=0)
+    return scenario, nodes, network, allocators
+
+
+# ----------------------------------------------------------------------
+# Building data and the whole system
+
+DATASET_DAYS = 20
+
+
+@contextlib.contextmanager
+def _dataset_setup(jobs):
+    config = BuildingOperationConfig(n_days=DATASET_DAYS, n_buildings=2, seed=7)
+    yield {"building_dataset_generate": lambda: BuildingOperationDataset(config).generate()}
+
+
+def _dataset_check(runs):
+    dataset = runs["building_dataset_generate"].last
+    _require(dataset.n_tasks > 0, "generated dataset has no tasks")
+    _require(dataset.days.size == DATASET_DAYS, f"generated {dataset.days.size} days")
+
+
+@contextlib.contextmanager
+def _system_setup(jobs):
+    config = DCTASystemConfig(
+        building=BuildingOperationConfig(n_days=12, n_buildings=2, seed=0),
+        crl_episodes=4,
+        seed=0,
+    )
+    yield {"dcta_system_build": lambda: DCTASystem(config).build()}
+
+
+# ----------------------------------------------------------------------
+# CRL training (Algorithm 1) and its kernels
+
+CRL_CLUSTERS = 4
+
+
+@contextlib.contextmanager
+def _forced_pool():
+    """Fan out even where the pool's cost model would decline (scoped)."""
+    previous = os.environ.get("REPRO_POOL_FORCE_PARALLEL")
+    os.environ["REPRO_POOL_FORCE_PARALLEL"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("REPRO_POOL_FORCE_PARALLEL")
+        if previous is not None:
+            os.environ["REPRO_POOL_FORCE_PARALLEL"] = previous
+
+
+@contextlib.contextmanager
+def _crl_setup(jobs):
+    """4-cluster CRL fit at jobs=1 (in-process, stacked) and at jobs=N with
+    the pool forced, so the jobs=N entry measures the fan-out it is named
+    for. A variant returns a thunk for its eval-epoch plans and the
+    pool's worker count."""
+    scenario = _train_scenario()
     nodes, _ = scaled_testbed(6)
-    episodes = 30 if quick else 80
+    epochs = [(scenario.workload_for(epoch), _context(epoch)) for epoch in scenario.eval_epochs]
 
-    def train(n_jobs: int):
-        return build_allocators(
-            scenario, nodes, crl_episodes=episodes, crl_clusters=4, jobs=n_jobs, seed=0
-        )
+    def train(n_jobs):
+        crl = build_allocators(
+            scenario, nodes, crl_episodes=30, crl_clusters=CRL_CLUSTERS, jobs=n_jobs, seed=0
+        )["CRL"]
 
+        def plans():
+            return [crl.plan(workload, nodes, context).assignments for workload, context in epochs]
+
+        return plans, get_worker_pool().size
+
+    def train_forced():
+        with _forced_pool():
+            return train(jobs)
+
+    variants = {"crl_train_4cluster_jobs1": lambda: train(1)}
     if jobs > 1:
-        timings = _timed_interleaved({"jobs1": lambda: train(1), "jobsN": lambda: train(jobs)}, rounds)
-        serial_s, serial_std, _ = timings["jobs1"]
-        parallel_s, parallel_std, _ = timings["jobsN"]
-        record(
-            results, "crl_train_4cluster_jobs1", serial_s, rounds, std_s=serial_std, commit=commit
-        )
-        record(
-            results,
-            f"crl_train_4cluster_jobs{jobs}",
-            parallel_s,
-            rounds,
-            std_s=parallel_std,
-            commit=commit,
-        )
-        notes.append(
-            f"CRL train speedup at jobs={jobs}: {serial_s / max(parallel_s, 1e-9):.2f}x"
-        )
-    else:
-        serial_s, serial_std, _ = _timed(lambda: train(1), rounds)
-        record(
-            results, "crl_train_4cluster_jobs1", serial_s, rounds, std_s=serial_std, commit=commit
-        )
+        get_worker_pool().executor(min(jobs, CRL_CLUSTERS))
+        variants[f"crl_train_4cluster_jobs{jobs}"] = train_forced
+    yield variants
+
+
+def _crl_check(runs):
+    serial = runs["crl_train_4cluster_jobs1"]
+    serial_plans = serial.last[0]()
+    _require(len(serial_plans) > 0, "CRL produced no eval-epoch plans")
+    for name, run in runs.items():
+        if run is serial:
+            continue
+        plans, workers = run.last
+        _require(plans() == serial_plans, f"{name} plans differ from jobs=1")
+        # Only gate a speedup where one is physically possible.
+        if workers >= 4 and (os.cpu_count() or 1) >= 4:
+            speedup = serial.mean_s / max(run.mean_s, 1e-9)
+            _require(speedup > 1.0, f"{name} {run.mean_s:.2f}s vs jobs=1 {serial.mean_s:.2f}s")
+            _require(speedup >= 2.0, f"{name} speedup {speedup:.2f}x < 2x")
 
 
 def _crl_params_sha(agents) -> str:
@@ -481,28 +539,12 @@ def _crl_params_sha(agents) -> str:
     return digest.hexdigest()
 
 
-def _bench_stacked_train(results, rounds, commit, quick, notes) -> None:
-    """Lockstep-stacked vs per-agent CRL training over one task list.
-
-    Times :func:`~repro.rl.crl.train_allocation_agents_stacked` against
-    mapping :func:`~repro.rl.crl.train_allocation_agent` over the same
-    four tasks (interleaved rounds), then asserts the two
-    agent lists are byte-identical — parameters, target nets, ε and step
-    counters — before recording. The stacked path is what a CRL fit runs
-    whenever the worker pool declines to fan out, so
-    ``crl_train_stacked`` tracks the number the
-    `crl_train_4cluster_jobs1` entry rides on.
-    """
-    from repro.allocation.base import tatim_from_workload
-    from repro.rl.crl import (
-        AgentTrainTask,
-        train_allocation_agent,
-        train_allocation_agents_stacked,
-    )
-    from repro.rl.dqn import DQNConfig
-    from repro.utils.rng import derive_seeds
-
-    scenario = _train_scenario(quick)
+@contextlib.contextmanager
+def _stacked_setup(jobs):
+    """Lockstep-stacked vs per-agent training of one four-task list: the
+    stacked path is what a CRL fit runs whenever the pool declines to fan
+    out, so it is the number ``crl_train_4cluster_jobs1`` rides on."""
+    scenario = _train_scenario()
     nodes, _ = scaled_testbed(6)
     geometry = tatim_from_workload(scenario.tasks, nodes)
     importance = scenario.environment_store().importance_matrix
@@ -512,100 +554,44 @@ def _bench_stacked_train(results, rounds, commit, quick, notes) -> None:
             geometry=geometry,
             importance=importance[cluster::4].mean(axis=0),
             dqn_config=DQNConfig(hidden_sizes=(64, 32)),
-            episodes=30 if quick else 80,
+            episodes=30,
             seed=seed,
         )
         for cluster, seed in enumerate(derive_seeds(0, 4))
     ]
-
-    timings = _timed_interleaved(
-        {
-            "stacked": lambda: train_allocation_agents_stacked(tasks),
-            "unstacked": lambda: [train_allocation_agent(task) for task in tasks],
-        },
-        rounds,
-    )
-    stacked_s, stacked_std, stacked_agents = timings["stacked"]
-    serial_s, serial_std, serial_agents = timings["unstacked"]
-    if _crl_params_sha(stacked_agents) != _crl_params_sha(serial_agents):
-        raise AssertionError("stacked CRL training diverged from serial training")
-    record(results, "crl_train_stacked", stacked_s, rounds, std_s=stacked_std, commit=commit)
-    record(
-        results, "crl_train_unstacked", serial_s, rounds, std_s=serial_std, commit=commit
-    )
-    notes.append(
-        f"stacked CRL training: {serial_s / max(stacked_s, 1e-9):.2f}x over serial "
-        "(trained agents byte-identical)"
-    )
+    yield {
+        "crl_train_stacked": lambda: train_allocation_agents_stacked(tasks),
+        "crl_train_unstacked": lambda: [train_allocation_agent(task) for task in tasks],
+    }
 
 
-def _bench_rollout_batch(results, rounds, commit, quick, notes) -> None:
-    """Batched lockstep greedy rollouts vs one :meth:`solve` per instance.
+#: The kernel benches' agent: replay sampling starts after 64 transitions.
+_KERNEL_DQN = DQNConfig(hidden_sizes=(128, 64), batch_size=32, warmup_transitions=64)
 
-    32 instances share the agent's geometry with per-instance importance
-    vectors (the dispatcher's miss-group shape). Assignments from the
-    batched pass are asserted identical to the serial loop's before the
-    entries are recorded.
-    """
-    from repro.rl.dqn import DQNAgent, DQNConfig
-    from repro.rl.env import AllocationEnv, BatchedAllocationEnv
-    from repro.tatim.generators import random_instance
 
-    base = random_instance(24 if quick else 50, 3, seed=11)
+@contextlib.contextmanager
+def _rollout_setup(jobs):
+    """32 greedy rollouts sharing the agent's geometry with per-instance
+    importance vectors (the dispatcher's miss-group shape)."""
+    base = random_instance(24, 3, seed=11)
     env = AllocationEnv(base)
-    agent = DQNAgent(
-        env.state_dim,
-        env.n_actions,
-        DQNConfig(hidden_sizes=(128, 64), batch_size=32, warmup_transitions=64),
-        seed=5,
-    )
+    agent = DQNAgent(env.state_dim, env.n_actions, _KERNEL_DQN, seed=5)
     for _ in range(4):
         agent.train_episode(env)
-    importance_rng = np.random.default_rng(23)
-    problems = [
-        base.scaled(importance=importance_rng.uniform(0.1, 1.0, base.n_tasks))
-        for _ in range(32)
-    ]
-
-    def serial():
-        return [agent.solve(AllocationEnv(problem)) for problem in problems]
-
-    def batched():
-        return agent.solve_greedy_batch(BatchedAllocationEnv(problems))
-
-    timings = _timed_interleaved({"serial": serial, "batched": batched}, rounds)
-    serial_s, serial_std, serial_allocs = timings["serial"]
-    batch_s, batch_std, batch_allocs = timings["batched"]
-    if [a.as_assignment() for a in serial_allocs] != [
-        a.as_assignment() for a in batch_allocs
-    ]:
-        raise AssertionError("batched greedy rollouts diverged from serial solves")
-    record(results, "rollout_serial_x32", serial_s, rounds, std_s=serial_std, commit=commit)
-    record(results, "rollout_batch_x32", batch_s, rounds, std_s=batch_std, commit=commit)
-    notes.append(
-        f"batched rollouts: {serial_s / max(batch_s, 1e-9):.2f}x over serial "
-        "solves (allocations identical)"
-    )
+    rng = np.random.default_rng(23)
+    problems = [base.scaled(importance=rng.uniform(0.1, 1.0, base.n_tasks)) for _ in range(32)]
+    yield {
+        "rollout_serial_x32": lambda: [agent.solve(AllocationEnv(p)) for p in problems],
+        "rollout_batch_x32": lambda: agent.solve_greedy_batch(BatchedAllocationEnv(problems)),
+    }
 
 
-def dqn_bench_workloads(quick: bool = True) -> dict:
-    """Name → zero-arg callable for the single-process DQN kernel benches.
-
-    Shared by ``repro bench`` (:func:`_bench_dqn`) and the pytest perf
-    suite (``benchmarks/perf/test_perf_dqn.py``) so both record under the
-    same ``BENCH_perf.json`` keys. The agent is built once with its
-    replay buffer filled past warmup, so every timed gradient step
-    actually trains; workload sizes are chosen to land above the
-    regression gate's micro-bench floor.
-    """
-    from repro.rl.dqn import DQNAgent, DQNConfig
-    from repro.rl.env import AllocationEnv
-    from repro.tatim.generators import random_instance
-
-    problem = random_instance(24 if quick else 50, 3, seed=11)
-    env = AllocationEnv(problem)
-    config = DQNConfig(hidden_sizes=(128, 64), batch_size=32, warmup_transitions=64)
-    agent = DQNAgent(env.state_dim, env.n_actions, config, seed=5)
+@contextlib.contextmanager
+def _dqn_setup(jobs):
+    """Single-process DQN kernel hot paths. The replay buffer is filled
+    past warmup first, so every timed gradient step trains."""
+    env = AllocationEnv(random_instance(24, 3, seed=11))
+    agent = DQNAgent(env.state_dim, env.n_actions, _KERNEL_DQN, seed=5)
     while len(agent.buffer) < 512:
         agent.train_episode(env)
     rollout_rng = np.random.default_rng(17)
@@ -616,263 +602,234 @@ def dqn_bench_workloads(quick: bool = True) -> dict:
             loss = agent.train_step()
         return loss
 
-    def train_episodes():
-        return [agent.train_episode(env) for _ in range(10)]
-
-    def greedy_solves():
-        return [agent.solve(env) for _ in range(20)]
-
     def env_rollouts():
         steps = 0
         for _ in range(50):
             env.reset()
             while not env.done:
-                feasible = env.feasible_actions()
-                env.step(int(rollout_rng.choice(feasible)))
+                env.step(int(rollout_rng.choice(env.feasible_actions())))
                 steps += 1
         env.reset()
         return steps
 
-    return {
+    yield {
         "dqn_train_step_x200": train_steps,
-        "dqn_train_episode_x10": train_episodes,
-        "dqn_solve_greedy_x20": greedy_solves,
+        "dqn_train_episode_x10": lambda: [agent.train_episode(env) for _ in range(10)],
+        "dqn_solve_greedy_x20": lambda: [agent.solve(env) for _ in range(20)],
         "env_random_rollout_x50": env_rollouts,
     }
 
 
-def _bench_dqn(results, rounds, commit, quick) -> None:
-    """Single-process DQN kernel hot paths (the in-process speed lever)."""
-    for name, fn in dqn_bench_workloads(quick).items():
-        mean_s, std_s, _ = _timed(fn, rounds)
-        record(results, name, mean_s, rounds, std_s=std_s, commit=commit)
+def _dqn_check(runs):
+    loss = runs["dqn_train_step_x200"].last
+    _require(loss is not None and np.isfinite(loss), f"DQN train-step loss {loss}")
+    returns = runs["dqn_train_episode_x10"].last
+    _require(len(returns) == 10 and np.all(np.isfinite(returns)), f"returns {returns}")
+    solves = runs["dqn_solve_greedy_x20"].last
+    # Greedy inference is deterministic: every rollout must agree.
+    _require(
+        len(solves) == 20 and all(np.array_equal(solves[0].matrix, a.matrix) for a in solves),
+        "the 20 greedy solves of one instance disagree",
+    )
+    _require(runs["env_random_rollout_x50"].last > 0, "random rollouts took no steps")
 
 
-def _bench_importance(results, rounds, commit, quick) -> None:
-    """Leave-one-out + Shapley evaluators.
+# ----------------------------------------------------------------------
+# Task importance (Definition 1)
 
-    Fresh evaluators are built inside each timed call so the cross-call
-    coalition caches never leak warmth between rounds.
-    """
-    from repro.building.dataset import BuildingOperationConfig, BuildingOperationDataset
-    from repro.importance.importance import ImportanceEvaluator
-    from repro.importance.shapley import ShapleyImportanceEvaluator
-    from repro.transfer.registry import make_strategy
+IMPORTANCE_DAYS = 8
 
+
+@contextlib.contextmanager
+def _importance_setup(jobs):
+    """Leave-one-out and Shapley evaluators, built inside each timed call
+    so the cross-call coalition caches never leak warmth between rounds."""
     dataset = BuildingOperationDataset(
-        BuildingOperationConfig(n_days=12 if quick else 30, n_buildings=2, seed=3)
+        BuildingOperationConfig(n_days=12, n_buildings=2, seed=3)
     ).generate()
     model_set = make_strategy("clustered", "ridge", seed=0).fit(dataset.tasks)
-    days = np.arange(8 if quick else 20)
-    n_permutations = 8 if quick else 16
-
-    loo_s, loo_std, _ = _timed(
-        lambda: ImportanceEvaluator(dataset, model_set).importance_matrix(days), rounds
-    )
-    record(results, "loo_importance_jobs1", loo_s, rounds, std_s=loo_std, commit=commit)
-    shapley_s, shapley_std, _ = _timed(
-        lambda: ShapleyImportanceEvaluator(
-            dataset, model_set, n_permutations=n_permutations, seed=5
+    days = np.arange(IMPORTANCE_DAYS)
+    yield {
+        "loo_importance_jobs1": lambda: ImportanceEvaluator(
+            dataset, model_set
+        ).importance_matrix(days),
+        "shapley_importance_jobs1": lambda: ShapleyImportanceEvaluator(
+            dataset, model_set, n_permutations=8, seed=5
         ).importance_for_day(1),
-        rounds,
-    )
-    record(
-        results, "shapley_importance_jobs1", shapley_s, rounds, std_s=shapley_std, commit=commit
-    )
+    }
 
 
-def _bench_edgesim(results, rounds, commit, quick) -> None:
-    """EdgeSimulator epoch runs, with and without mid-run node failures."""
-    from repro.edgesim.simulator import EdgeSimulator
+def _importance_check(runs):
+    matrix = runs["loo_importance_jobs1"].last
+    values = runs["shapley_importance_jobs1"].last
+    _require(values.ndim == 1 and values.size > 0, f"Shapley vector shape {values.shape}")
+    _require(matrix.shape == (IMPORTANCE_DAYS, values.size), f"LOO matrix shape {matrix.shape}")
 
-    scenario = _train_scenario(quick)
-    nodes, network = scaled_testbed(6)
-    allocators = build_allocators(
-        scenario, nodes, crl_episodes=10 if quick else 40, crl_clusters=3, seed=0
-    )
-    dcta = allocators["DCTA"]
+
+# ----------------------------------------------------------------------
+# Edge simulation: testbed epochs, the fleet, the sharded fleet
+
+
+@contextlib.contextmanager
+def _epoch_setup(jobs):
+    """One DCTA-planned epoch, clean and with a third of the nodes failing
+    mid-run (the controller's re-dispatch path)."""
+    scenario, nodes, network, allocators = _small_allocators()
     epoch = scenario.eval_epochs[0]
     workload = scenario.workload_for(epoch)
-    context = EpochContext(sensing=epoch.sensing, features=epoch.features, day=epoch.day)
-    plan = dcta.plan(workload, nodes, context)
+    plan = allocators["DCTA"].plan(workload, nodes, _context(epoch))
     simulator = EdgeSimulator(nodes, network)
-    # Knock out a third of the nodes mid-run so the re-dispatch path is
-    # part of the tracked cost.
-    failures = {node.node_id: 5.0 for node in list(nodes)[:: 3]}
+    failures = {node.node_id: 5.0 for node in list(nodes)[::3]}
 
-    mean_s, std_s, _ = _timed(lambda: simulator.run(workload, plan), rounds)
-    record(results, "edgesim_epoch_run", mean_s, rounds, std_s=std_s, commit=commit)
-    mean_s, std_s, _ = _timed(
-        lambda: simulator.run(workload, plan, failures=failures), rounds
+    def with_failures():
+        return simulator.run(workload, plan, failures=failures)
+
+    yield {
+        "edgesim_epoch_run": lambda: simulator.run(workload, plan),
+        "edgesim_epoch_run_failures": with_failures,
+        "edgesim_epoch_run_failures@repeat": with_failures,
+    }
+
+
+def _epoch_check(runs):
+    clean = runs["edgesim_epoch_run"].last
+    failed = runs["edgesim_epoch_run_failures"].last
+    repeat = runs["edgesim_epoch_run_failures@repeat"].last
+    _require(clean.gate_crossed and failed.gate_crossed, "epoch did not cross the gate")
+    _require(clean.processing_time > 0 and clean.tasks_executed > 0, "clean epoch did no work")
+    # Losing nodes mid-run forces re-transfers; the epoch cannot finish
+    # faster than the failure-free run of the identical plan.
+    _require(
+        failed.processing_time >= clean.processing_time,
+        f"PT with failures {failed.processing_time} < clean PT {clean.processing_time}",
     )
-    record(results, "edgesim_epoch_run_failures", mean_s, rounds, std_s=std_s, commit=commit)
+    # The DES is seedless and event-ordered, so repeat runs are identical.
+    _require(
+        (repeat.processing_time, repeat.tasks_executed)
+        == (failed.processing_time, failed.tasks_executed),
+        "repeat epoch run with failures differs",
+    )
 
 
-def _bench_fleet(results, rounds, commit, quick, notes) -> None:
-    """Vectorized fleet engine at 10k and 100k nodes.
-
-    Regions and arrival rate are scaled together so the access radio sits
-    at the same ~60% utilization as the defaults; events/sec and process
-    peak-RSS are recorded as informational extras.
-    """
-    from repro.edgesim.fleet import FleetConfig, FleetSimulator
-
-    # Scale tier: regions sized so each hosts ~125 nodes; arrival rate
-    # keeps the per-region radio at the same utilization as the defaults
-    # (30 arrivals/s over 8 regions).
-    for label, n_nodes in (("edgesim_fleet_10k", 10_000), ("edgesim_fleet_100k", 100_000)):
-        n_regions = n_nodes // 125
-        config = FleetConfig(
-            n_nodes=n_nodes,
-            n_regions=n_regions,
-            duration_s=5.0 if quick else 20.0,
-            arrival_rate_hz=30.0 * (n_regions / 8),
-            churn_rate_hz=2.0,
-            seed=0,
-        )
-        simulator = FleetSimulator(config)
-        # One round per scale point: the run is seconds long and the
-        # extras (events/sec, RSS) matter more than timing variance.
-        scale_rounds = 1
-        mean_s, std_s, fleet_run = _timed(simulator.run, scale_rounds)
-        rss_mib = peak_rss_mib()
-        record(
-            results,
-            label,
-            mean_s,
-            scale_rounds,
-            std_s=std_s,
-            commit=commit,
-            extra={
-                "nodes": n_nodes,
-                "events": fleet_run.events,
-                "events_per_sec": round(fleet_run.events / max(mean_s, 1e-9), 1),
-                "completed": fleet_run.completed,
-                "peak_rss_mib": round(rss_mib, 1),
-            },
-        )
-        notes.append(
-            f"{label}: {fleet_run.events / max(mean_s, 1e-9):,.0f} events/s "
-            f"({fleet_run.completed} tasks, peak RSS {rss_mib:.0f} MiB)"
-        )
-
-
-def _bench_fleet_sharded(results, rounds, commit, quick, notes) -> None:
-    """Region-sharded multiprocess fleet runs, up to the 1M-node regime.
-
-    Before anything is recorded, the ``shards=1 == shards=N`` contract is
-    asserted on a small config with worker processes forced, so the
-    digest equality covers the real multiprocess path even on machines
-    where the pool would otherwise decline to fan out. The scale entries
-    then run the sharded engine at 100k and 1M nodes (same region/arrival
-    scaling rule as ``_bench_fleet``) and record events/sec, peak RSS
-    (MiB), shard/group counts and barrier crossings as extras. On >= 4
-    cores the 100k entry also times the single-process ``shards=1`` run
-    and asserts the sharded engine clears 2x its events/s.
-    """
-    import os
-
-    from repro.edgesim.fleet import FleetConfig
-    from repro.edgesim.shard import result_digest, run_fleet_sharded
-
-    cpus = os.cpu_count() or 1
-    shards = max(2, min(cpus, 8))
-
-    identity = FleetConfig(
-        n_nodes=20_000,
-        n_regions=160,
-        duration_s=3.0,
-        arrival_rate_hz=30.0 * (160 / 8),
+def _fleet_config(n_nodes: int, duration_s: float) -> FleetConfig:
+    """Regions hold ~125 nodes each; the arrival rate keeps the per-region
+    radio at the defaults' utilization (30 arrivals/s over 8 regions)."""
+    n_regions = n_nodes // 125
+    return FleetConfig(
+        n_nodes=n_nodes,
+        n_regions=n_regions,
+        duration_s=duration_s,
+        arrival_rate_hz=30.0 * (n_regions / 8),
         churn_rate_hz=2.0,
         seed=0,
     )
-    single = run_fleet_sharded(identity, shards=1)
-    multi = run_fleet_sharded(identity, shards=shards, force=True)
-    digest = result_digest(single.result)
-    if result_digest(multi.result) != digest:
-        raise AssertionError("sharded fleet run diverged from shards=1")
-    notes.append(
-        f"sharded fleet identity: shards=1 == shards={multi.shards} "
-        f"(digest {digest})"
-    )
-
-    scale_rounds = 1
-    for label, n_nodes, duration in (
-        ("edgesim_fleet_sharded_100k", 100_000, 5.0 if quick else 20.0),
-        ("edgesim_fleet_sharded_1m", 1_000_000, 2.0 if quick else 10.0),
-    ):
-        n_regions = n_nodes // 125
-        config = FleetConfig(
-            n_nodes=n_nodes,
-            n_regions=n_regions,
-            duration_s=duration,
-            arrival_rate_hz=30.0 * (n_regions / 8),
-            churn_rate_hz=2.0,
-            seed=0,
-        )
-        mean_s, std_s, run = _timed(
-            lambda config=config: run_fleet_sharded(config, shards=shards),
-            scale_rounds,
-        )
-        events_per_sec = run.result.events / max(mean_s, 1e-9)
-        rss_mib = peak_rss_mib()
-        extra = {
-            "nodes": n_nodes,
-            "events": run.result.events,
-            "events_per_sec": round(events_per_sec, 1),
-            "completed": run.result.completed,
-            "shards": run.shards,
-            "groups": run.groups,
-            "barrier_crossings": run.barrier_crossings,
-            "peak_rss_mib": round(rss_mib, 1),
-        }
-        if label == "edgesim_fleet_sharded_100k" and cpus >= 4 and run.shards > 1:
-            serial_s, _, serial_run = _timed(
-                lambda: run_fleet_sharded(config, shards=1), scale_rounds
-            )
-            serial_eps = serial_run.result.events / max(serial_s, 1e-9)
-            speedup = events_per_sec / max(serial_eps, 1e-9)
-            extra["speedup_vs_1shard"] = round(speedup, 2)
-            if speedup < 2.0:
-                raise AssertionError(
-                    f"sharded fleet at {run.shards} shards only reached "
-                    f"{speedup:.2f}x over shards=1 on {cpus} cores (< 2x)"
-                )
-            notes.append(
-                f"sharded fleet 100k: {speedup:.2f}x events/s over shards=1 "
-                f"at {run.shards} shards"
-            )
-        record(
-            results, label, mean_s, scale_rounds, std_s=std_s, commit=commit,
-            extra=extra,
-        )
-        notes.append(
-            f"{label}: {events_per_sec:,.0f} events/s at {run.shards} shard(s) "
-            f"x {run.groups} groups ({run.result.completed} tasks, "
-            f"peak RSS {rss_mib:.0f} MiB)"
-        )
 
 
-def _bench_plan_cache(results, rounds, commit, quick, notes, registry) -> None:
-    """Cold vs warm cache planning over near-identical repeat queries.
+def _fleet_extras(run: Run, result) -> dict:
+    return {
+        "nodes": result.n_nodes,
+        "events": result.events,
+        "events_per_sec": round(result.events / max(run.mean_s, 1e-9), 1),
+        "completed": result.completed,
+    }
 
-    All three variants are timed over ``rounds`` rounds so the recorded
-    entries carry a real ``std_s`` for the regression gate's noise
-    allowance (they used to be single samples). Cold rounds each build a
-    fresh :class:`AllocationCache` so every timed pass really is cold;
-    warm rounds run against a cache primed by one untimed pass.
-    Rollout counts are averaged per round.
+
+@contextlib.contextmanager
+def _fleet_setup(jobs):
+    """Build and run one fleet per call: ``FleetSimulator.run`` keeps node
+    state between calls, so a second run of one simulator is not the same
+    run."""
+    config_10k, config_100k = _fleet_config(10_000, 5.0), _fleet_config(100_000, 5.0)
+    yield {
+        "edgesim_fleet_10k": lambda: FleetSimulator(config_10k).run(),
+        "edgesim_fleet_100k": lambda: FleetSimulator(config_100k).run(),
+    }
+
+
+@contextlib.contextmanager
+def _sharded_setup(jobs):
+    """Region-sharded fleet runs at 100k and 1M nodes.
+
+    References: ``shards=1`` and ``shards=N`` digests of a 20k-node run
+    with worker processes forced (so the identity covers the real
+    multiprocess path even where the pool would decline) and, on >= 4
+    cores, a ``shards=1`` run of the 100k config for the speedup gate.
     """
-    scenario = _train_scenario(quick)
-    nodes, _ = scaled_testbed(6)
-    allocators = build_allocators(
-        scenario, nodes, crl_episodes=10 if quick else 40, crl_clusters=3, seed=0
+    shards = max(2, min(os.cpu_count() or 1, 8))
+    identity = _fleet_config(20_000, 3.0)
+    config_100k = _fleet_config(100_000, 5.0)
+    config_1m = _fleet_config(1_000_000, 2.0)
+    variants = {
+        "edgesim_fleet_sharded_100k": lambda: run_fleet_sharded(config_100k, shards=shards),
+        "edgesim_fleet_sharded_1m": lambda: run_fleet_sharded(config_1m, shards=shards),
+        "edgesim_fleet_sharded@shards1": lambda: result_digest(
+            run_fleet_sharded(identity, shards=1).result
+        ),
+        "edgesim_fleet_sharded@forced": lambda: result_digest(
+            run_fleet_sharded(identity, shards=shards, force=True).result
+        ),
+    }
+    if (os.cpu_count() or 1) >= 4:
+        variants["edgesim_fleet_sharded_100k@shards1"] = lambda: run_fleet_sharded(
+            config_100k, shards=1
+        )
+    yield variants
+
+
+def _sharded_speedup(runs) -> float | None:
+    serial = runs.get("edgesim_fleet_sharded_100k@shards1")
+    sharded = runs["edgesim_fleet_sharded_100k"]
+    if serial is None or sharded.last.shards <= 1:
+        return None
+    return serial.mean_s / max(sharded.mean_s, 1e-9)
+
+
+def _sharded_check(runs):
+    _require(
+        runs["edgesim_fleet_sharded@forced"].last == runs["edgesim_fleet_sharded@shards1"].last,
+        "sharded fleet run diverged from shards=1",
     )
+    nodes = runs["edgesim_fleet_sharded_1m"].last.result.n_nodes
+    _require(nodes == 1_000_000, f"1M bench ran {nodes} nodes")
+    speedup = _sharded_speedup(runs)
+    _require(speedup is None or speedup >= 2.0, f"sharded fleet only {speedup}x over shards=1")
+
+
+def _sharded_extras(runs):
+    extras = {}
+    for name in ("edgesim_fleet_sharded_100k", "edgesim_fleet_sharded_1m"):
+        sharded = runs[name].last
+        extras[name] = _fleet_extras(runs[name], sharded.result) | {
+            "shards": sharded.shards,
+            "groups": sharded.groups,
+            "barrier_crossings": sharded.barrier_crossings,
+        }
+    speedup = _sharded_speedup(runs)
+    if speedup is not None:
+        extras["edgesim_fleet_sharded_100k"]["speedup_vs_1shard"] = round(speedup, 2)
+    return extras
+
+
+# ----------------------------------------------------------------------
+# Planning through the allocation cache
+
+PLAN_QUERIES = 10
+
+
+@contextlib.contextmanager
+def _plan_cache_setup(jobs):
+    """Uncached, cold-cache and warm-cache planning of 10 repeat queries
+    whose sensing jitter is below the cache's quantization (the drift
+    regime where consecutive epochs quantize to one environment).
+
+    Each cold pass gets a fresh cache; warm passes share one primed
+    untimed. A pass returns its assignments, the CRL rollouts it ran and
+    its cache's hit ratio.
+    """
+    scenario, nodes, _, allocators = _small_allocators()
     crl = allocators["CRL"]
     epoch = scenario.eval_epochs[0]
     workload = scenario.workload_for(epoch)
-    # Repeat queries with sub-quantization jitter: the drift regime where
-    # consecutive epochs quantize to the same environment.
     jitter_rng = np.random.default_rng(0)
     contexts = [
         EpochContext(
@@ -880,163 +837,102 @@ def _bench_plan_cache(results, rounds, commit, quick, notes, registry) -> None:
             features=epoch.features,
             day=epoch.day,
         )
-        for _ in range(10)
+        for _ in range(PLAN_QUERIES)
     ]
 
-    def plan_all():
-        return [crl.plan(workload, nodes, context) for context in contexts]
+    def plan_pass(cache):
+        # ``is None``, not truthiness: an empty cache has len() 0.
+        with contextlib.nullcontext() if cache is None else use_allocation_cache(cache):
+            before = _family_total(get_registry(), "repro_rl_crl_rollouts_total")
+            plans = [crl.plan(workload, nodes, context).assignments for context in contexts]
+            rollouts = _family_total(get_registry(), "repro_rl_crl_rollouts_total") - before
+        return plans, rollouts, None if cache is None else cache.hit_ratio
 
-    def rollouts() -> float:
-        return _family_total(registry, "repro_rl_crl_rollouts_total")
-
-    before = rollouts()
-    uncached_s, uncached_std, uncached_plans = _timed(plan_all, rounds)
-    uncached_rollouts = (rollouts() - before) / rounds
-    record(
-        results, "plan_10x_uncached", uncached_s, rounds, std_s=uncached_std, commit=commit
-    )
-
-    def cold_pass():
-        with use_allocation_cache(AllocationCache()):
-            return plan_all()
-
-    before = rollouts()
-    cold_s, cold_std, cold_plans = _timed(cold_pass, rounds)
-    cold_rollouts = (rollouts() - before) / rounds
-    record(results, "plan_10x_cold_cache", cold_s, rounds, std_s=cold_std, commit=commit)
-
-    cache = AllocationCache()
-    with use_allocation_cache(cache):
-        plan_all()  # prime once, untimed, so every timed pass is warm
-        before = rollouts()
-        warm_s, warm_std, warm_plans = _timed(plan_all, rounds)
-        warm_rollouts = (rollouts() - before) / rounds
-    record(results, "plan_10x_warm_cache", warm_s, rounds, std_s=warm_std, commit=commit)
-
-    identical = all(
-        a.assignments == b.assignments == c.assignments
-        for a, b, c in zip(uncached_plans, cold_plans, warm_plans)
-    )
-    reduction = uncached_rollouts / max(cold_rollouts, 1.0)
-    notes.append(
-        f"cache: {int(uncached_rollouts)} rollouts/10 plans uncached vs "
-        f"{int(cold_rollouts)} cold + {int(warm_rollouts)} warm "
-        f"(hit ratio {cache.hit_ratio:.2f}); allocations byte-identical: {identical}"
-    )
-    if not identical:
-        raise AssertionError("cached allocations diverged from uncached run")
-    notes.append(
-        f"cached-plan solver-invocation reduction: {reduction:.1f}x fewer rollouts"
-    )
-
-
-def _serve_extras(summary: dict) -> dict:
-    """KPI extras merged into a serve bench entry (ms for readability)."""
-    return {
-        "throughput_rps": round(float(summary.get("throughput_rps", 0.0)), 1),
-        "latency_p50_ms": round(float(summary.get("latency_p50_s", 0.0)) * 1e3, 4),
-        "latency_p95_ms": round(float(summary.get("latency_p95_s", 0.0)) * 1e3, 4),
-        "latency_p99_ms": round(float(summary.get("latency_p99_s", 0.0)) * 1e3, 4),
-        "requests": int(summary.get("requests", 0)),
-        "rejected": int(summary.get("rejected", 0)),
-        "max_queue_depth": int(summary.get("max_queue_depth", 0)),
+    warm = AllocationCache()
+    plan_pass(warm)
+    yield {
+        "plan_10x_uncached": lambda: plan_pass(None),
+        "plan_10x_cold_cache": lambda: plan_pass(AllocationCache()),
+        "plan_10x_warm_cache": lambda: plan_pass(warm),
     }
 
 
-def _bench_serve(results, rounds, commit, quick, jobs, notes) -> None:
-    """Allocation-as-a-service benches: replay capacity, paced load, shedding.
+def _plan_cache_check(runs):
+    (plans, uncached, _), (cold_plans, cold, cold_hits), (warm_plans, warm, warm_hits) = (
+        runs[f"plan_10x_{kind}"].last for kind in ("uncached", "cold_cache", "warm_cache")
+    )
+    _require(plans == cold_plans == warm_plans, "cached allocations diverged from uncached")
+    _require(uncached == PLAN_QUERIES, f"uncached pass ran {uncached} rollouts")
+    _require(warm == 0, f"warm-cache pass ran {warm} rollouts")
+    _require(uncached >= 5.0 * max(cold, 1.0), f"cold cache ran {cold} rollouts (< 5x fewer)")
+    _require(min(cold_hits, warm_hits) > 0.5, f"hit ratios {cold_hits}, {warm_hits} <= 0.5")
 
-    - ``serve_replay_cold`` / ``serve_replay_warm`` — unpaced trace drains
-      (fresh vs primed :class:`~repro.tatim.cache.AllocationCache`); their
-      ``mean_s`` is the gated service-capacity number, with throughput and
-      latency percentiles recorded as informational extras.
-    - ``serve_sustained_load_warm`` — wall-clock paced open-loop run at the
-      offered rate; ``mean_s`` pins to the trace duration by construction,
-      so the KPIs in the extras (p50/p95/p99, throughput, rejections) are
-      the payload.
-    - ``serve_saturation_shed`` — a deliberately slow solver against a tiny
-      bounded queue; validates shed-don't-drown (nonzero rejections, queue
-      depth capped) under overload.
 
-    A ``jobs=1`` vs ``jobs=N`` replay identity check guards the
-    dispatcher's determinism contract before anything is recorded.
-    """
-    import dataclasses
-    import time as _time
+# ----------------------------------------------------------------------
+# Allocation-as-a-service
 
-    from repro.serve import Dispatcher, ServeConfig, generate_trace
-    from repro.serve import dispatcher as dispatcher_module
 
+def _serve_extras(runs) -> dict:
+    """KPI extras of each serve run (ms for readability)."""
+    extras = {}
+    for name, run in runs.items():
+        summary = run.last.summary
+        extras[name] = {
+            "throughput_rps": round(float(summary.get("throughput_rps", 0.0)), 1),
+            "latency_p50_ms": round(float(summary.get("latency_p50_s", 0.0)) * 1e3, 4),
+            "latency_p95_ms": round(float(summary.get("latency_p95_s", 0.0)) * 1e3, 4),
+            "latency_p99_ms": round(float(summary.get("latency_p99_s", 0.0)) * 1e3, 4),
+            "requests": int(summary.get("requests", 0)),
+            "rejected": int(summary.get("rejected", 0)),
+            "max_queue_depth": int(summary.get("max_queue_depth", 0)),
+        }
+    return extras
+
+
+@contextlib.contextmanager
+def _serve_setup(jobs):
+    """``serve_replay_cold`` / ``serve_replay_warm`` drain the trace
+    unpaced (fresh vs primed cache): their ``mean_s`` is service capacity.
+    ``serve_sustained_load_warm`` paces against the wall clock, so its
+    ``mean_s`` pins to the trace duration and its KPI extras are the
+    payload. A jobs=1 replay is the dispatcher's determinism reference."""
     config = ServeConfig(
-        arrival_rate_hz=2000.0,
-        duration_s=1.0 if quick else 3.0,
-        queue_depth=512,
-        batch_max=64,
-        jobs=jobs,
-        seed=0,
+        arrival_rate_hz=2000.0, duration_s=1.0, queue_depth=512, batch_max=64, jobs=jobs, seed=0
     )
     geometry, requests = generate_trace(config)
 
-    if jobs > 1:
-        with Dispatcher(geometry, config) as parallel_dispatcher:
-            parallel_ids = parallel_dispatcher.replay(requests).identities()
-        with Dispatcher(geometry, dataclasses.replace(config, jobs=1)) as serial_dispatcher:
-            serial_ids = serial_dispatcher.replay(requests).identities()
-        if parallel_ids != serial_ids:
-            raise AssertionError("dispatcher at jobs=N diverged from jobs=1")
-        notes.append(
-            f"dispatcher determinism: jobs=1 == jobs={jobs} over "
-            f"{len(requests)} requests"
-        )
-
-    def replay_cold():
-        with Dispatcher(geometry, config) as dispatcher:
+    def replay_fresh(replay_config):
+        with Dispatcher(geometry, replay_config) as dispatcher:
             return dispatcher.replay(requests)
 
-    mean_s, std_s, report = _timed(replay_cold, rounds)
-    record(
-        results, "serve_replay_cold", mean_s, rounds, std_s=std_s, commit=commit,
-        extra=_serve_extras(report.summary),
-    )
+    with Dispatcher(geometry, config) as warm:
+        warm.replay(requests)  # prime the cache, untimed
+        yield {
+            "serve_replay_cold": lambda: replay_fresh(config),
+            "serve_replay_warm": lambda: warm.replay(requests),
+            "serve_sustained_load_warm": lambda: warm.run(requests),
+            "serve_replay_cold@jobs1": lambda: replay_fresh(dataclasses.replace(config, jobs=1)),
+        }
 
-    with Dispatcher(geometry, config) as dispatcher:
-        dispatcher.replay(requests)  # prime the cache, untimed
-        mean_s, std_s, report = _timed(lambda: dispatcher.replay(requests), rounds)
-        record(
-            results, "serve_replay_warm", mean_s, rounds, std_s=std_s, commit=commit,
-            extra=_serve_extras(report.summary),
-        )
-        mean_s, std_s, report = _timed(lambda: dispatcher.run(requests), rounds)
-        record(
-            results,
-            "serve_sustained_load_warm",
-            mean_s,
-            rounds,
-            std_s=std_s,
-            commit=commit,
-            extra=_serve_extras(report.summary),
-        )
-        notes.append(
-            f"sustained load: {report.throughput_rps:.0f} req/s served at "
-            f"{config.arrival_rate_hz:.0f}/s offered, "
-            f"p99 {report.summary.get('latency_p99_s', 0.0) * 1e3:.2f} ms, "
-            f"{report.rejected} rejected"
-        )
 
-    # Saturation: a solver slow enough that the offered rate is far beyond
-    # capacity, a queue too small to absorb it, and no cache to hide behind.
-    # jobs=1 keeps the registered solver visible (the registry is extended
-    # in this process only; persistent workers have their own copy).
-    slow_s = 0.005
+SATURATION_QUEUE_DEPTH = 16
+
+
+@contextlib.contextmanager
+def _saturation_setup(jobs):
+    """A solver slow enough that the offered rate is far beyond capacity,
+    a queue too small to absorb it, and no cache to hide behind. jobs=1
+    keeps the registered solver visible (the registry is extended in this
+    process only; persistent workers have their own copy)."""
 
     def bench_slow_solver(problem):
-        _time.sleep(slow_s)
+        time.sleep(0.005)
         return dispatcher_module.SOLVERS["density_greedy"](problem)
 
-    saturation_config = ServeConfig(
+    config = ServeConfig(
         arrival_rate_hz=2000.0,
-        duration_s=0.5 if quick else 1.0,
-        queue_depth=16,
+        duration_s=0.5,
+        queue_depth=SATURATION_QUEUE_DEPTH,
         batch_max=8,
         jobs=1,
         solver="bench_slow",
@@ -1046,28 +942,101 @@ def _bench_serve(results, rounds, commit, quick, jobs, notes) -> None:
     )
     dispatcher_module.SOLVERS["bench_slow"] = bench_slow_solver
     try:
-        sat_geometry, sat_requests = generate_trace(saturation_config)
-        with Dispatcher(sat_geometry, saturation_config) as dispatcher:
-            mean_s, std_s, report = _timed(lambda: dispatcher.run(sat_requests), rounds)
+        geometry, requests = generate_trace(config)
+        with Dispatcher(geometry, config) as dispatcher:
+            yield {"serve_saturation_shed": lambda: dispatcher.run(requests)}
     finally:
         del dispatcher_module.SOLVERS["bench_slow"]
-    if report.rejected == 0:
-        raise AssertionError("saturation bench shed nothing; overload not reached")
-    max_depth = int(report.summary.get("max_queue_depth", 0))
-    if max_depth > saturation_config.queue_depth:
-        raise AssertionError(
-            f"queue depth {max_depth} exceeded bound {saturation_config.queue_depth}"
-        )
-    record(
-        results,
-        "serve_saturation_shed",
-        mean_s,
-        rounds,
-        std_s=std_s,
-        commit=commit,
-        extra=_serve_extras(report.summary),
-    )
-    notes.append(
-        f"saturation: {report.rejected}/{len(sat_requests)} shed, "
-        f"max queue depth {max_depth} (bound {saturation_config.queue_depth})"
-    )
+
+
+def _saturation_check(runs):
+    report = runs["serve_saturation_shed"].last
+    _require(report.rejected > 0, "saturation bench shed nothing; overload not reached")
+    depth = int(report.summary.get("max_queue_depth", 0))
+    _require(depth <= SATURATION_QUEUE_DEPTH, f"queue depth {depth} exceeded its bound")
+
+
+# ----------------------------------------------------------------------
+
+#: Every tracked bench, in run order.
+BENCHES: tuple[Bench, ...] = (
+    Bench(("building_dataset_generate",), _dataset_setup, _dataset_check),
+    Bench(
+        ("dcta_system_build",),
+        _system_setup,
+        lambda runs: _require(
+            set(runs["dcta_system_build"].last.allocators or ()) == {"RM", "DML", "CRL", "DCTA"},
+            "the built system lacks one of the RM/DML/CRL/DCTA allocators",
+        ),
+    ),
+    Bench(
+        ("crl_train_4cluster_jobs1", "crl_train_4cluster_jobs{jobs}"),
+        _crl_setup,
+        _crl_check,
+        lambda runs: {
+            name: {"workers": run.last[1]}
+            for name, run in runs.items()
+            if name != "crl_train_4cluster_jobs1"
+        },
+    ),
+    Bench(
+        ("crl_train_stacked", "crl_train_unstacked"),
+        _stacked_setup,
+        lambda runs: _require(
+            _crl_params_sha(runs["crl_train_stacked"].last)
+            == _crl_params_sha(runs["crl_train_unstacked"].last),
+            "stacked CRL training diverged from per-agent training",
+        ),
+    ),
+    Bench(
+        ("dqn_train_step_x200", "dqn_train_episode_x10", "dqn_solve_greedy_x20",
+         "env_random_rollout_x50"),
+        _dqn_setup,
+        _dqn_check,
+    ),
+    Bench(
+        ("rollout_serial_x32", "rollout_batch_x32"),
+        _rollout_setup,
+        lambda runs: _require(
+            [a.as_assignment() for a in runs["rollout_serial_x32"].last]
+            == [a.as_assignment() for a in runs["rollout_batch_x32"].last],
+            "batched greedy rollouts diverged from serial solves",
+        ),
+    ),
+    Bench(
+        ("loo_importance_jobs1", "shapley_importance_jobs1"), _importance_setup, _importance_check
+    ),
+    Bench(("edgesim_epoch_run", "edgesim_epoch_run_failures"), _epoch_setup, _epoch_check),
+    Bench(
+        ("edgesim_fleet_10k", "edgesim_fleet_100k"),
+        _fleet_setup,
+        lambda runs: _require(
+            all(run.last.completed > 0 for run in runs.values()), "a fleet run completed no tasks"
+        ),
+        lambda runs: {name: _fleet_extras(run, run.last) for name, run in runs.items()},
+        memory=True,
+    ),
+    Bench(
+        ("edgesim_fleet_sharded_100k", "edgesim_fleet_sharded_1m"),
+        _sharded_setup,
+        _sharded_check,
+        _sharded_extras,
+        memory=True,
+    ),
+    Bench(
+        ("plan_10x_uncached", "plan_10x_cold_cache", "plan_10x_warm_cache"),
+        _plan_cache_setup,
+        _plan_cache_check,
+    ),
+    Bench(
+        ("serve_replay_cold", "serve_replay_warm", "serve_sustained_load_warm"),
+        _serve_setup,
+        lambda runs: _require(
+            runs["serve_replay_cold"].last.identities()
+            == runs["serve_replay_cold@jobs1"].last.identities(),
+            "dispatcher at jobs=N diverged from jobs=1",
+        ),
+        _serve_extras,
+    ),
+    Bench(("serve_saturation_shed",), _saturation_setup, _saturation_check, _serve_extras),
+)

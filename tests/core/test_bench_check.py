@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.bench import (
     DEFAULT_THRESHOLD,
     MIN_GATED_SECONDS,
     PER_BENCH_THRESHOLD,
+    bench_commit,
     check_regressions,
     load_bench_json,
     record,
@@ -162,13 +165,13 @@ class TestBenchExtras:
         results = {}
         record(
             results, "fleet", 1.0, 3, commit="abc",
-            extra={"events_per_sec": 42.5, "peak_rss_mib": 10.0},
+            extra={"events_per_sec": 42.5, "peak_alloc_mib": 10.0},
         )
         record(results, "plain", 2.0, 3, commit="abc")
         table = bench_table(results)
         assert "extras" in table
         assert "events_per_sec=42.5" in table
-        assert "peak_rss_mib=10.0" in table
+        assert "peak_alloc_mib=10.0" in table
 
     def test_version_stamps_stay_out_of_the_extras_column(self):
         from repro.core.bench import bench_table
@@ -178,24 +181,21 @@ class TestBenchExtras:
         assert "python=" not in bench_table(results)
         assert "numpy=" not in bench_table(results)
 
-    def test_peak_rss_normalizes_platform_units(self, monkeypatch):
-        """ru_maxrss is KiB on Linux but bytes on macOS; one MiB scale out."""
-        import resource
-        import sys
 
-        from repro.core.bench import peak_rss_mib
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_bench_commit_marks_a_dirty_tree(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
 
-        class Usage:
-            ru_maxrss = 512 * 1024
-
-        monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
-        monkeypatch.setattr(sys, "platform", "linux")
-        assert peak_rss_mib() == pytest.approx(512.0)
-        monkeypatch.setattr(sys, "platform", "darwin")
-        assert peak_rss_mib() == pytest.approx(0.5)
-
-    def test_peak_rss_is_sane_for_this_process(self):
-        from repro.core.bench import peak_rss_mib
-
-        value = peak_rss_mib()
-        assert 1.0 < value < 1024 * 1024  # MiB scale, not raw bytes
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("a\n", encoding="utf-8")
+    git("add", "tracked.txt")
+    git(
+        "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+        "-c", "commit.gpgsign=false", "commit", "-q", "-m", "init",
+    )
+    monkeypatch.chdir(tmp_path)
+    clean = bench_commit()
+    assert clean != "unknown" and not clean.endswith("-dirty")
+    (tmp_path / "tracked.txt").write_text("b\n", encoding="utf-8")
+    assert bench_commit() == f"{clean}-dirty"

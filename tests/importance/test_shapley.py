@@ -52,6 +52,8 @@ class TestShapleyEvaluator:
             small_dataset, small_model_set, n_permutations=3, seed=2
         )
         evaluator.importance_for_day(1)  # warm the day-1 coalition memo
+        cache_size = len(evaluator._value_caches[1])
+        assert cache_size > 0
         # Re-seed a twin evaluator and replay both calls: the warm memo
         # must be invisible in the results.
         warm = ShapleyImportanceEvaluator(
@@ -59,6 +61,8 @@ class TestShapleyEvaluator:
         )
         warm._value_caches = evaluator._value_caches
         assert np.array_equal(warm.importance_for_day(1), fresh.importance_for_day(1))
+        # Repeat calls reuse and extend the shared memo; they never drop it.
+        assert len(evaluator._value_caches[1]) >= cache_size
 
 
 class TestMetricComparison:
