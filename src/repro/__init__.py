@@ -35,7 +35,7 @@ serving API, and the error hierarchy are all importable directly from
 
 and a serving session is::
 
-    config = repro.ServeConfig(arrival_rate_hz=2000, duration_s=5.0, jobs=4)
+    config = repro.ServeConfig(arrival_rate_hz=2000, duration_s=5.0)
     geometry, requests = repro.generate_trace(config)
     with repro.Dispatcher(geometry, config) as dispatcher:
         report = dispatcher.run(requests)

@@ -9,7 +9,7 @@ Usage::
     python -m repro pipeline [--days 30]
     python -m repro bench    [--jobs 4 --check --threshold 1.25]
     python -m repro serve    [--arrival-rate 500 --duration-s 2 --queue-depth 512]
-    python -m repro loadgen  [--arrival-rate 2000 --duration-s 2 --jobs 4]
+    python -m repro loadgen  [--arrival-rate 2000 --duration-s 2]
     python -m repro top      [--endpoint http://127.0.0.1:9109 | --file timeseries.jsonl]
 
 Each subcommand prints the corresponding figure's table; `pipeline` runs
@@ -104,13 +104,17 @@ def _add_performance_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for per-cluster CRL training and per-point "
         "Fig. 9 sweeps (1 = serial)",
     )
+    _add_cache_argument(group)
+
+
+def _add_cache_argument(group) -> None:
     group.add_argument(
         "--no-cache",
         action="store_false",
         dest="cache",
+        default=True,
         help="disable the allocation cache (on by default; see docs/performance.md)",
     )
-    parser.set_defaults(cache=True)
 
 
 def _serve_parent_parser() -> argparse.ArgumentParser:
@@ -231,7 +235,7 @@ def _serve_parent_parser() -> argparse.ArgumentParser:
         const="",
     )
     parent.add_argument("--seed", type=int, default=defaults.seed)
-    _add_performance_arguments(parent)
+    _add_cache_argument(parent.add_argument_group("performance"))
     return parent
 
 
@@ -245,7 +249,6 @@ def _serve_config(args: argparse.Namespace):
         burst_sigma=args.burst_sigma,
         queue_depth=args.queue_depth,
         batch_max=args.batch_max,
-        jobs=args.jobs,
         solver=args.solver,
         cache=args.cache,
         n_tasks=args.n_tasks,
@@ -670,6 +673,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
 def _command_top(args: argparse.Namespace) -> int:
     import time as _time
 
+    from repro.errors import DataError
     from repro.telemetry import (
         parse_timeseries_jsonl,
         read_timeseries_jsonl,
@@ -706,20 +710,20 @@ def _command_top(args: argparse.Namespace) -> int:
             meta, windows = read_timeseries_jsonl(args.file)
         print(timeseries_table(windows, last=args.last))
 
-    if args.watch is None:
-        render_once()
-        return 0
     iteration = 0
     try:
         while True:
             render_once()
             iteration += 1
-            if args.iterations and iteration >= args.iterations:
+            if args.watch is None or (args.iterations and iteration >= args.iterations):
                 break
             _time.sleep(max(args.watch, 0.05))
             print()
     except KeyboardInterrupt:
         pass
+    except DataError as exc:  # a truncated or malformed timeseries
+        print(f"top: DataError: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

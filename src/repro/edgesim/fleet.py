@@ -283,13 +283,18 @@ class FleetSimulator:
                 )
         self._c_s_per_bit = s_per_bit
         self._c_region = region
-        self._c_alive = np.ones(n, dtype=bool)
-        self._c_incarnation = np.zeros(n, dtype=np.int64)
-        self._c_busy_until = np.zeros(n, dtype=np.float64)
         self._region_nodes = [
             np.flatnonzero(self._c_region == r) for r in range(config.n_regions)
         ]
-        self._region_rr = [0] * config.n_regions
+
+    def _reset_nodes(self) -> None:
+        """Every node alive, idle and at the head of its region's rotation:
+        each run starts from the same node state, so runs repeat."""
+        n = self._config.n_nodes
+        self._c_alive = np.ones(n, dtype=bool)
+        self._c_incarnation = np.zeros(n, dtype=np.int64)
+        self._c_busy_until = np.zeros(n, dtype=np.float64)
+        self._region_rr = [0] * self._config.n_regions
 
     def _pick_nodes(self, region: int, k: int) -> np.ndarray:
         """Round-robin ``k`` alive nodes of ``region`` (-1 = region down)."""
@@ -333,6 +338,7 @@ class FleetSimulator:
         return result
 
     def _run_fleet(self, *, trace=None, barrier=None) -> FleetResult:
+        self._reset_nodes()
         config = self._config
         network: RegionalNetwork = self.network
         n_regions = config.n_regions

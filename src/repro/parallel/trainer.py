@@ -42,7 +42,6 @@ from repro.telemetry import (
     span,
     use_registry,
     use_run_trace,
-    use_trace_id,
 )
 
 #: Parent-side task tokens: unique per submission, so telemetry merges
@@ -70,9 +69,7 @@ def mark_merged(token: str | None) -> bool:
     return True
 
 
-def _run_in_worker(
-    fn: Callable, payload, token: str | None = None, trace_id: str | None = None
-) -> tuple:
+def _run_in_worker(fn: Callable, payload, token: str | None = None) -> tuple:
     """Execute ``fn(payload)`` under private telemetry sinks.
 
     Returns ``(value, spans, metrics, token)`` where ``spans`` is the
@@ -81,14 +78,11 @@ def _run_in_worker(
     per task (not per worker process), so each result carries exactly the
     deltas this task produced: a long-lived pool worker serving many
     batches can never leak counts across tasks, and ``token`` lets the
-    parent merge each result at most once. When the parent propagates a
-    ``trace_id``, every span the task opens is stamped with it so the
-    merge can re-parent the worker timeline under the originating
-    request's span (see :func:`merge_worker_spans`).
+    parent merge each result at most once.
     """
     registry = MetricsRegistry()
     trace = RunTrace(label="worker")
-    with use_registry(registry), use_run_trace(trace), use_trace_id(trace_id):
+    with use_registry(registry), use_run_trace(trace):
         value = fn(payload)
     return value, [record.to_dict() for record in trace.spans], snapshot(registry), token
 
@@ -142,11 +136,7 @@ def merge_worker_spans(spans: Sequence[dict], *, worker: int) -> None:
 
     The worker timeline is re-based to start at the parent trace's
     current end; a synthetic ``parallel.worker`` span wraps it so flame
-    views attribute the time correctly. Root worker spans stamped with a
-    ``trace_id`` the parent trace has anchored (a request span minted by
-    the dispatcher) re-parent under that anchor instead — cross-process
-    request tracing: the worker-side solve lands under the originating
-    request, not under the generic worker wrapper.
+    views attribute the time correctly.
     """
     trace = current_run_trace()
     if trace is None or not spans:
@@ -164,17 +154,12 @@ def merge_worker_spans(spans: Sequence[dict], *, worker: int) -> None:
         end = record["end"] if record.get("end") is not None else record["start"]
         attrs = dict(record.get("attrs", {}))
         attrs.setdefault("clock", "worker")
-        if record.get("parent") is not None:
-            mapped_parent = index_map.get(record["parent"], parent)
-        else:
-            anchor = trace.anchors.get(str(attrs.get("trace_id", "")))
-            mapped_parent = anchor if anchor is not None else parent
         index_map[original_index] = trace.add_span(
             record["name"],
             base + record["start"],
             base + end,
             attrs=attrs,
-            parent=mapped_parent,
+            parent=index_map.get(record.get("parent"), parent),
         )
 
 
@@ -227,23 +212,17 @@ class ParallelTrainer:
         self.force = bool(force)
 
     # ------------------------------------------------------------------
-    def _map_serial(self, payloads: Sequence, trace_ids: Sequence[str | None]) -> list:
+    def _map_serial(self, payloads: Sequence) -> list:
         with span("parallel.map", label=self.label, jobs=1, tasks=len(payloads)):
-            values = []
-            for payload, trace_id in zip(payloads, trace_ids):
-                with use_trace_id(trace_id):
-                    values.append(self.fn(payload))
-            return values
+            return [self.fn(payload) for payload in payloads]
 
-    def _map_parallel(
-        self, payloads: Sequence, workers: int, trace_ids: Sequence[str | None]
-    ) -> list:
+    def _map_parallel(self, payloads: Sequence, workers: int) -> list:
         pool = get_worker_pool()
         with span("parallel.map", label=self.label, jobs=workers, tasks=len(payloads)):
             executor = pool.executor(workers)
             futures = [
-                executor.submit(_run_in_worker, self.fn, payload, _next_token(), trace_id)
-                for payload, trace_id in zip(payloads, trace_ids)
+                executor.submit(_run_in_worker, self.fn, payload, _next_token())
+                for payload in payloads
             ]
             outcomes = [future.result() for future in futures]
         values = []
@@ -260,24 +239,11 @@ class ParallelTrainer:
         ).inc(len(payloads))
         return values
 
-    def map(self, payloads: Sequence, *, trace_ids: Sequence[str | None] | None = None) -> list:
-        """``[fn(p) for p in payloads]``, fanned out when it pays off.
-
-        ``trace_ids`` optionally aligns one request trace id per payload
-        (``None`` entries allowed); each task then runs with that id as
-        its ambient trace id, on both the serial and parallel paths.
-        """
+    def map(self, payloads: Sequence) -> list:
+        """``[fn(p) for p in payloads]``, fanned out when it pays off."""
         payloads = list(payloads)
         if not payloads:
             return []
-        if trace_ids is None:
-            trace_ids = [None] * len(payloads)
-        else:
-            trace_ids = list(trace_ids)
-            if len(trace_ids) != len(payloads):
-                raise ConfigurationError(
-                    f"trace_ids must align with payloads: {len(trace_ids)} != {len(payloads)}"
-                )
         workers = get_worker_pool().effective_jobs(
             self.jobs,
             len(payloads),
@@ -285,9 +251,9 @@ class ParallelTrainer:
             force=self.force,
         )
         if workers == 1:
-            return self._map_serial(payloads, trace_ids)
+            return self._map_serial(payloads)
         try:
-            return self._map_parallel(payloads, workers, trace_ids)
+            return self._map_parallel(payloads, workers)
         except (pickle.PicklingError, AttributeError, TypeError, BrokenProcessPool, OSError) as exc:
             if isinstance(exc, BrokenProcessPool):
                 get_worker_pool().reset()
@@ -297,4 +263,4 @@ class ParallelTrainer:
                 label=self.label,
             ).inc()
             with span("parallel.fallback", label=self.label, error=type(exc).__name__):
-                return self._map_serial(payloads, trace_ids)
+                return self._map_serial(payloads)

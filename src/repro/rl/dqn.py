@@ -74,7 +74,7 @@ class DQNAgent:
     ) -> None:
         """``buffer`` optionally injects a replay implementation (e.g.
         :class:`repro.rl.prioritized.PrioritizedReplayBuffer`); anything
-        with push/sample — and optionally last_sample_weights /
+        with push/sample_batch — and optionally last_sample_weights /
         update_priorities for prioritized variants — works.
 
         ``epsilon_schedule`` optionally overrides the config's
@@ -168,13 +168,7 @@ class DQNAgent:
         """One gradient step on a replay batch; None during warmup."""
         if len(self.buffer) < self.config.warmup_transitions:
             return None
-        sample_batch = getattr(self.buffer, "sample_batch", None)
-        if sample_batch is not None:
-            batch = sample_batch(self.config.batch_size)
-        else:  # injected legacy buffer: column-ize its transition list
-            batch = TransitionBatch.from_transitions(
-                self.buffer.sample(self.config.batch_size)
-            )
+        batch = self.buffer.sample_batch(self.config.batch_size)
         count = len(batch)
 
         mask = self._feasible_mask_matrix(batch)

@@ -14,9 +14,8 @@ This package is that serving layer:
   replayable request trace.
 - :mod:`repro.serve.dispatcher` — the bounded-queue ingest loop:
   admission control with 429-style shedding, cache-first answering via
-  :class:`~repro.tatim.cache.AllocationCache`, and cache-miss fan-out
-  across the persistent :class:`~repro.parallel.pool.WorkerPool` with
-  the geometry published once through the shared-memory plane.
+  :class:`~repro.tatim.cache.AllocationCache`, and deduplicated
+  in-process solves of the cache misses.
 - :mod:`repro.serve.kpis` — per-request latency histograms and exact
   p50/p95/p99 + throughput/rejection KPIs through the telemetry
   registry (``repro_serve_*``), exported by the standard Prometheus/

@@ -2,24 +2,18 @@
 
 :class:`Dispatcher` turns the one-shot allocation pipeline into a
 long-running service: requests arrive on an open-loop schedule, wait in
-a **bounded queue**, and are drained in batches that load-balance across
-the persistent :class:`~repro.parallel.pool.WorkerPool`. The heavy
-lifting reuses the existing data plane:
+a **bounded queue**, and are drained in batches answered in this
+process. The heavy lifting reuses the existing data plane:
 
 - the :class:`~repro.tatim.cache.AllocationCache` memoizes solves keyed
   on ``(scope, geometry signature, quantized importance signature)`` —
   in the drift regime of Obs. 3 consecutive requests quantize equal, so
   a warm dispatcher answers in microseconds without touching a solver;
-- the fixed task/processor geometry is published **once** through the
-  :class:`~repro.parallel.shm.SharedArrayStore`, so worker payloads
-  carry a tiny :class:`~repro.parallel.shm.SharedBlobRef` plus one
-  importance vector instead of re-pickling the instance per request;
-- cache-miss batches fan out through
-  :class:`~repro.parallel.trainer.ParallelTrainer` (deduplicated by
-  cache key first), which returns results in submission order — with
-  deterministic solvers this makes dispatcher output a pure function of
-  the request trace: ``jobs=1`` and ``jobs=N`` produce identical
-  responses (:meth:`AllocationResponse.identity`).
+- cache misses are deduplicated by cache key and solved once per group,
+  in submission order; groups whose solver rolls out in lockstep
+  (:class:`RolloutSolver`) share one batched pass. With deterministic
+  solvers this makes dispatcher output a pure function of the request
+  trace (:meth:`AllocationResponse.identity`).
 
 **Admission control / backpressure.** The ingest queue is bounded by
 ``ServeConfig.queue_depth``; when an arrival finds it full, the request
@@ -32,7 +26,7 @@ Two drain modes:
 
 - :meth:`Dispatcher.replay` — serve a trace as fast as possible, no
   pacing, nothing shed. This is the deterministic mode benches and the
-  ``jobs=1 == jobs=N`` check use.
+  served-answer golden use.
 - :meth:`Dispatcher.run` — honor arrival times against the wall clock
   (open-loop), applying admission control. This is what ``repro serve``
   / ``repro loadgen`` and the saturation bench exercise.
@@ -49,8 +43,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.parallel.shm import SharedBlobRef, get_shared_store, resolve_shared
-from repro.parallel.trainer import ParallelTrainer
 from repro.rl.env import AllocationEnv, BatchedAllocationEnv
 from repro.serve.kpis import KPITracker, kpi_table
 from repro.serve.schemas import AllocationRequest, AllocationResponse, ServeConfig
@@ -58,7 +50,7 @@ from repro.tatim.cache import AllocationCache, array_signature
 from repro.tatim.exact import branch_and_bound
 from repro.tatim.greedy import best_fit_greedy, density_greedy, importance_greedy
 from repro.tatim.problem import TATIMProblem
-from repro.telemetry import current_run_trace, span
+from repro.telemetry import span
 
 #: Solver names a request may carry → callables. All are deterministic,
 #: which is what the dispatcher's determinism contract rests on.
@@ -86,11 +78,6 @@ class RolloutSolver:
     :class:`~repro.rl.env.BatchedAllocationEnv` — allocations identical
     to per-request :meth:`__call__`, with one batched forward per step
     instead of one forward per episode per step.
-
-    Rollout solvers always run in the dispatcher process: the agent's
-    networks would be re-pickled per batch under worker fan-out, and the
-    rollout is deterministic anyway, so the jobs-invariance contract is
-    unaffected.
     """
 
     def __init__(self, agent) -> None:
@@ -101,23 +88,6 @@ class RolloutSolver:
 
     def solve_batch(self, problems) -> list:
         return self.agent.solve_greedy_batch(BatchedAllocationEnv(list(problems)))
-
-
-def _solve_payload(payload: tuple) -> dict[int, int]:
-    """Worker body: solve one (geometry, importance, solver) instance.
-
-    ``geometry`` may be the problem itself or a :class:`SharedBlobRef`
-    to the zero-copy published copy. Returns the plain ``{task:
-    processor}`` assignment — small, picklable, and enough for the
-    parent to rebuild the response (the objective is recomputed from the
-    request's own importance).
-    """
-    geometry, importance, solver_name = payload
-    with span("serve.solve", solver=solver_name):
-        geometry = resolve_shared(geometry)
-        problem = geometry.scaled(importance=np.asarray(importance, dtype=float))
-        allocation = SOLVERS[solver_name](problem)
-        return allocation.as_assignment()
 
 
 @dataclass
@@ -139,8 +109,8 @@ class ServeReport:
     def identities(self) -> list[tuple]:
         """Timing-free response identities, in request-id order.
 
-        Identical across ``jobs`` settings for the same trace — the
-        determinism contract's comparison key.
+        Identical across runs of the same trace — the determinism
+        contract's comparison key.
         """
         return [r.identity() for r in sorted(self.responses, key=lambda r: r.request_id)]
 
@@ -164,9 +134,7 @@ class Dispatcher:
 
     Every request is minted a ``trace_id`` (unless it already carries
     one) that is echoed in the response, stamped on the KPI exemplars,
-    and propagated into worker processes so worker-side solve spans
-    re-parent under the originating request's span on telemetry merge —
-    one request, one trace, across processes.
+    and set on the ``serve.request`` span each solve runs under.
     """
 
     #: Distinguishes trace ids minted by different dispatcher instances
@@ -192,33 +160,15 @@ class Dispatcher:
         self._geometry_sig = (
             self.cache.problem_signature(geometry) if self.cache is not None else None
         )
-        self._shared_key: str | None = None
-        self._shared_ref: SharedBlobRef | None = None
         self._trace_prefix = f"d{next(self._instances)}"
         self._trace_counter = itertools.count()
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the published geometry block (idempotent)."""
-        if self._shared_key is not None:
-            get_shared_store().release(self._shared_key)
-            self._shared_key = None
-            self._shared_ref = None
-
     def __enter__(self) -> "Dispatcher":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _geometry_handle(self):
-        """The geometry as workers should receive it (shared when fanning out)."""
-        if self.config.jobs <= 1:
-            return self.geometry
-        if self._shared_ref is None:
-            self._shared_key = f"serve:geometry:{id(self)}"
-            self._shared_ref = get_shared_store().share(self._shared_key, self.geometry)
-        return self._shared_ref
+        """Nothing to release; the context form is kept for callers."""
 
     def _cache_key(self, request: AllocationRequest) -> tuple | None:
         if self.cache is None:
@@ -232,7 +182,7 @@ class Dispatcher:
             array_signature(request.importance, decimals=self.cache.decimals),
         )
 
-    def _mint_trace_ids(self, batch: Sequence[AllocationRequest]) -> list[str]:
+    def _mint_ids(self, batch: Sequence[AllocationRequest]) -> list[str]:
         """One trace id per request: caller-supplied when present, else minted.
 
         Minted ids are unique per dispatcher instance and cheap (a
@@ -247,22 +197,16 @@ class Dispatcher:
 
     # ------------------------------------------------------------------
     def _serve_batch(
-        self,
-        batch: Sequence[AllocationRequest],
-        trace_ids: Sequence[str] | None = None,
+        self, batch: Sequence[AllocationRequest], ids: Sequence[str]
     ) -> list[tuple[dict[int, int], bool]]:
-        """Answer a batch: cache hits in-process, misses fanned out.
+        """Answer a batch: cache hits first, then one solve per miss group.
 
-        Misses are deduplicated by cache key before dispatch (the drift
-        regime makes whole batches quantize equal), solved through
-        :class:`ParallelTrainer` in submission order, then inserted into
-        the cache. The hit/miss partition and the per-key solve are both
-        independent of ``jobs``, so results are too.
-
-        When a run trace is active, each miss group opens a
-        ``serve.request`` anchor span tagged with the group's trace id;
-        the trainer propagates that id into the worker so the remote
-        solve span re-parents under the anchor on merge.
+        Misses are deduplicated by cache key (the drift regime makes
+        whole batches quantize equal), solved in submission order, then
+        inserted into the cache. Groups whose solver has ``solve_batch``
+        share one lockstep rollout; every other group solves under a
+        ``serve.request`` span carrying the lead request's trace id, so
+        its ``serve.solve`` span is a child of the request it answers.
         """
         answers: list[tuple[dict[int, int], bool] | None] = [None] * len(batch)
         misses: "OrderedDict[object, list[int]]" = OrderedDict()
@@ -282,85 +226,42 @@ class Dispatcher:
                 request.importance.tobytes(),
             )
             misses.setdefault(dedup, []).append(index)
-        if misses:
-            # Miss groups whose solver can roll out in lockstep
-            # (:class:`RolloutSolver`) are answered in-process with one
-            # batched pass; the rest keep the worker fan-out below.
-            rollout_groups: "OrderedDict[str, list[list[int]]]" = OrderedDict()
-            remote: "OrderedDict[object, list[int]]" = OrderedDict()
-            for dedup, indices in misses.items():
-                solver = SOLVERS.get(batch[indices[0]].solver)
-                if solver is not None and hasattr(solver, "solve_batch"):
-                    rollout_groups.setdefault(batch[indices[0]].solver, []).append(
-                        indices
-                    )
-                else:
-                    remote[dedup] = indices
-            for name, groups in rollout_groups.items():
-                with span("serve.rollout_batch", solver=name, episodes=len(groups)):
-                    problems = [
-                        self.geometry.scaled(
-                            importance=np.asarray(
-                                batch[indices[0]].importance, dtype=float
-                            )
-                        )
-                        for indices in groups
-                    ]
-                    allocations = SOLVERS[name].solve_batch(problems)
-                for indices, allocation in zip(groups, allocations):
-                    assignment = allocation.as_assignment()
-                    for index in indices:
-                        answers[index] = (assignment, False)
-                    if keys[indices[0]] is not None:
-                        self.cache.put(keys[indices[0]], assignment)
-            misses = remote
-        if misses:
-            geometry = self._geometry_handle()
-            payloads = [
-                (geometry, batch[indices[0]].importance, batch[indices[0]].solver)
-                for indices in misses.values()
-            ]
-            miss_trace_ids: list[str | None] = [
-                trace_ids[indices[0]] if trace_ids is not None else None
-                for indices in misses.values()
-            ]
-            trace = current_run_trace()
-            anchors: list[int | None] = []
-            if trace is not None:
-                for indices, trace_id in zip(misses.values(), miss_trace_ids):
-                    if trace_id is None:
-                        anchors.append(None)
-                        continue
-                    lead = batch[indices[0]]
-                    mark = trace.now()
-                    anchors.append(
-                        trace.add_span(
-                            "serve.request",
-                            mark,
-                            mark,
-                            attrs={
-                                "trace_id": trace_id,
-                                "request_id": lead.request_id,
-                                "solver": lead.solver,
-                                "coalesced": len(indices),
-                            },
-                            parent=trace.current_index(),
-                        )
-                    )
-            trainer = ParallelTrainer(
-                _solve_payload, jobs=self.config.jobs, label="serve"
-            )
-            results = trainer.map(payloads, trace_ids=miss_trace_ids)
-            if trace is not None:
-                for anchor in anchors:
-                    if anchor is not None:
-                        trace.touch(anchor)
-            for indices, assignment in zip(misses.values(), results):
-                for index in indices:
-                    answers[index] = (assignment, False)
-                if keys[indices[0]] is not None:
-                    self.cache.put(keys[indices[0]], assignment)
+
+        def settle(indices: list[int], assignment: dict[int, int]) -> None:
+            for index in indices:
+                answers[index] = (assignment, False)
+            if keys[indices[0]] is not None:
+                self.cache.put(keys[indices[0]], assignment)
+
+        rollout_groups: "OrderedDict[str, list[list[int]]]" = OrderedDict()
+        solo_groups: list[list[int]] = []
+        for indices in misses.values():
+            if hasattr(SOLVERS[batch[indices[0]].solver], "solve_batch"):
+                rollout_groups.setdefault(batch[indices[0]].solver, []).append(indices)
+            else:
+                solo_groups.append(indices)
+        for name, groups in rollout_groups.items():
+            with span("serve.rollout_batch", solver=name, episodes=len(groups)):
+                allocations = SOLVERS[name].solve_batch(
+                    [self._problem(batch[indices[0]]) for indices in groups]
+                )
+            for indices, allocation in zip(groups, allocations):
+                settle(indices, allocation.as_assignment())
+        for indices in solo_groups:
+            lead = batch[indices[0]]
+            with span(
+                "serve.request",
+                trace_id=ids[indices[0]],
+                request_id=lead.request_id,
+                solver=lead.solver,
+                coalesced=len(indices),
+            ), span("serve.solve", solver=lead.solver):
+                allocation = SOLVERS[lead.solver](self._problem(lead))
+            settle(indices, allocation.as_assignment())
         return answers  # type: ignore[return-value]
+
+    def _problem(self, request: AllocationRequest) -> TATIMProblem:
+        return self.geometry.scaled(importance=np.asarray(request.importance, dtype=float))
 
     def _respond(
         self,
@@ -391,8 +292,8 @@ class Dispatcher:
     def serve(self, request: AllocationRequest) -> AllocationResponse:
         """Answer one request synchronously (no queueing)."""
         started = time.perf_counter()
-        trace_ids = self._mint_trace_ids([request])
-        ((assignment, cache_hit),) = self._serve_batch([request], trace_ids)
+        (trace_id,) = self._mint_ids([request])
+        ((assignment, cache_hit),) = self._serve_batch([request], [trace_id])
         elapsed = time.perf_counter() - started
         return self._respond(
             request,
@@ -401,7 +302,7 @@ class Dispatcher:
             queue_delay_s=0.0,
             service_s=elapsed,
             latency_s=elapsed,
-            trace_id=trace_ids[0],
+            trace_id=trace_id,
         )
 
     # ------------------------------------------------------------------
@@ -429,12 +330,12 @@ class Dispatcher:
         with span("serve.replay", requests=len(requests)):
             for offset in range(0, len(requests), batch_max):
                 batch = list(requests[offset : offset + batch_max])
-                trace_ids = self._mint_trace_ids(batch)
+                ids = self._mint_ids(batch)
                 batch_started = time.perf_counter()
-                answers = self._serve_batch(batch, trace_ids)
+                answers = self._serve_batch(batch, ids)
                 per_request_s = (time.perf_counter() - batch_started) / len(batch)
                 for request, (assignment, cache_hit), trace_id in zip(
-                    batch, answers, trace_ids
+                    batch, answers, ids
                 ):
                     response = self._respond(
                         request,
@@ -516,13 +417,13 @@ class Dispatcher:
                             time.sleep(min(gap, 0.002))
                     continue
                 batch = [pending.popleft() for _ in range(min(batch_max, len(pending)))]
-                trace_ids = self._mint_trace_ids(batch)
+                ids = self._mint_ids(batch)
                 batch_started = time.perf_counter() - started
-                answers = self._serve_batch(batch, trace_ids)
+                answers = self._serve_batch(batch, ids)
                 batch_finished = time.perf_counter() - started
                 service_s = (batch_finished - batch_started) / len(batch)
                 for request, (assignment, cache_hit), trace_id in zip(
-                    batch, answers, trace_ids
+                    batch, answers, ids
                 ):
                     response = self._respond(
                         request,

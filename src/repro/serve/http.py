@@ -94,10 +94,15 @@ class _Handler(BaseHTTPRequestHandler):
             elif parsed.path == "/kpis":
                 self._send_json(200, self._retrying(owner.render_kpis))
             elif parsed.path == "/timeseries":
-                query = parse_qs(parsed.query)
-                last = None
-                if "last" in query:
-                    last = max(1, int(query["last"][0]))
+                last = parse_qs(parsed.query).get("last")
+                if last is not None:
+                    try:
+                        last = max(1, int(last[0]))
+                    except ValueError:
+                        self._send_json(
+                            400, {"error": f"last must be an integer, got {last[0]!r}"}
+                        )
+                        return
                 body = self._retrying(lambda: owner.render_timeseries(last=last))
                 self._send(200, body, "application/x-ndjson")
             else:

@@ -15,9 +15,8 @@ into a full deterministic request trace (geometry + timed
 :class:`~repro.serve.schemas.AllocationRequest` list): arrival times,
 importance drift, and regime redraws each consume an independent seed
 derived up front via :func:`repro.utils.rng.derive_seeds`, so the trace
-is a pure function of ``config`` — the contract the dispatcher's
-``jobs=1 == jobs=N`` determinism check (and any replayed incident) rests
-on.
+is a pure function of ``config`` — the contract the served-answer
+golden (and any replayed incident) rests on.
 """
 
 from __future__ import annotations

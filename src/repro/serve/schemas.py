@@ -22,8 +22,7 @@ change (renamed/retyped fields). ``from_dict`` is forward-tolerant:
 
 The request deliberately carries only the *drifting* part of a TATIM
 instance — the importance vector (plus solver choice); the fixed task/
-processor geometry lives in the dispatcher (published once through the
-shared-memory plane). That mirrors the paper's deployment: geometry is
+processor geometry lives in the dispatcher. That mirrors the paper's deployment: geometry is
 the recurring workload, importance is what the environment changes
 epoch to epoch, and it is what keeps a request small enough to ingest
 thousands per second.
@@ -87,8 +86,8 @@ class AllocationRequest:
         different environments never share cache entries.
     trace_id:
         Optional caller-supplied trace id. The dispatcher mints one when
-        absent and echoes it in the response; worker-side spans carry it
-        so the whole request reads as one trace across processes.
+        absent and echoes it in the response and on the ``serve.request``
+        span its solve runs under.
     """
 
     request_id: int
@@ -184,7 +183,7 @@ class AllocationResponse:
         """The timing-free identity used by determinism checks.
 
         Two runs of the same trace must agree on this tuple for every
-        response regardless of ``jobs``, pacing, or machine load.
+        response regardless of pacing or machine load.
         """
         return (
             int(self.request_id),
@@ -250,7 +249,9 @@ class ServeConfig:
     batch_max:
         Largest batch one dispatch drains from the queue.
     jobs:
-        Worker processes for cache-miss solves (1 = in-process serial).
+        Must be 1: every cache miss is solved in the dispatcher's own
+        process. Kept so existing ``jobs=1`` callers and wire dicts still
+        parse; not serialized by :meth:`to_dict`.
     solver:
         Default TATIM solver for generated requests.
     cache:
@@ -301,8 +302,10 @@ class ServeConfig:
             raise ConfigurationError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.batch_max < 1:
             raise ConfigurationError(f"batch_max must be >= 1, got {self.batch_max}")
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.jobs != 1:
+            raise ConfigurationError(
+                f"jobs must be 1 (the dispatcher solves in-process), got {self.jobs}"
+            )
         if self.n_tasks < 1 or self.n_processors < 1:
             raise ConfigurationError("need at least one task and one processor")
         if self.drift_sigma < 0:
@@ -322,7 +325,6 @@ class ServeConfig:
             "burst_sigma": float(self.burst_sigma),
             "queue_depth": int(self.queue_depth),
             "batch_max": int(self.batch_max),
-            "jobs": int(self.jobs),
             "solver": self.solver,
             "cache": bool(self.cache),
             "n_tasks": int(self.n_tasks),

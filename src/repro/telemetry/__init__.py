@@ -10,9 +10,7 @@ only) and zero-cost when off. Three coordinated pieces:
   one. Names follow ``repro_<subsystem>_<name>_<unit>``.
 - **Spans** — :func:`span` context managers nest into a per-run
   :class:`RunTrace` on a monotonic clock; traces serialize to JSONL and
-  render a text flame summary. :func:`use_trace_id` stamps spans with a
-  request-scoped trace id so worker-side spans re-parent under the
-  originating request on merge. :func:`record_edgesim_trace` bridges the
+  render a text flame summary. :func:`record_edgesim_trace` bridges the
   edge DES's reconstructed event timeline into the same sink.
 - **Exporters / logs** — Prometheus text exposition and JSON snapshots
   of the registry, plus a stdlib ``logging`` wrapper with a compact
@@ -46,12 +44,9 @@ from repro.telemetry.spans import (
     RunTrace,
     SpanRecord,
     current_run_trace,
-    current_trace_id,
     set_run_trace,
-    set_trace_id,
     span,
     use_run_trace,
-    use_trace_id,
 )
 from repro.telemetry.timeseries import (
     TimeSeriesAggregator,
@@ -105,12 +100,9 @@ __all__ = [
     "RunTrace",
     "SpanRecord",
     "current_run_trace",
-    "current_trace_id",
     "set_run_trace",
-    "set_trace_id",
     "span",
     "use_run_trace",
-    "use_trace_id",
     "TimeSeriesAggregator",
     "WindowSnapshot",
     "estimate_quantile",

@@ -18,16 +18,6 @@ instrumented code costs one global read and an ``with`` on a stateless
 object. Spans record exceptions (the raising type lands in the span's
 attrs under ``"error"``) and always close, so traces stay well-nested
 even on failure paths.
-
-**Cross-process request tracing.** A *trace id* is an opaque string that
-follows one logical request across process boundaries. The serving
-plane's dispatcher mints one per request and installs it around worker
-execution via :func:`use_trace_id`; while set, every :func:`span` tags
-itself with a ``trace_id`` attr automatically. Spans that carry a
-``trace_id`` register as that id's *anchor* in their :class:`RunTrace`
-(first span wins), so worker-side spans merged from another process can
-re-parent under the originating request's span — see
-``repro.parallel.trainer.merge_worker_spans``.
 """
 
 from __future__ import annotations
@@ -100,19 +90,8 @@ class RunTrace:
         self._t0 = clock()
         self.spans: list[SpanRecord] = []
         self._stack: list[int] = []
-        #: trace_id -> index of the first span that carried it (the span
-        #: cross-process children re-parent under on telemetry merge).
-        self.anchors: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Current offset on this trace's clock (relative seconds)."""
-        return self._clock() - self._t0
-
-    def current_index(self) -> int | None:
-        """Index of the innermost open span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
-
     def begin(self, name: str, attrs: dict | None = None) -> int:
         """Open a span; returns its index for :meth:`finish`."""
         record = SpanRecord(
@@ -125,9 +104,6 @@ class RunTrace:
         index = len(self.spans)
         self.spans.append(record)
         self._stack.append(index)
-        trace_id = record.attrs.get("trace_id")
-        if trace_id is not None:
-            self.anchors.setdefault(str(trace_id), index)
         return index
 
     def finish(self, index: int, *, error: str | None = None) -> SpanRecord:
@@ -173,17 +149,7 @@ class RunTrace:
             attrs=dict(attrs) if attrs else {},
         )
         self.spans.append(record)
-        index = len(self.spans) - 1
-        trace_id = record.attrs.get("trace_id")
-        if trace_id is not None:
-            self.anchors.setdefault(str(trace_id), index)
-        return index
-
-    def touch(self, index: int) -> SpanRecord:
-        """Extend a pre-timed span's end to now (anchor-span close-out)."""
-        record = self.spans[index]
-        record.end = self._clock() - self._t0
-        return record
+        return len(self.spans) - 1
 
     # ------------------------------------------------------------------
     @property
@@ -326,39 +292,6 @@ class _NoopSpan:
 
 _NOOP_SPAN = _NoopSpan()
 _active_trace: RunTrace | None = None
-_current_trace_id: str | None = None
-
-
-def current_trace_id() -> str | None:
-    """The ambient request trace id, or None outside any request."""
-    return _current_trace_id
-
-
-def set_trace_id(trace_id: str | None) -> str | None:
-    """Install (or clear, with None) the ambient request trace id."""
-    global _current_trace_id
-    _current_trace_id = trace_id
-    return trace_id
-
-
-@contextmanager
-def use_trace_id(trace_id: str | None) -> Iterator[str | None]:
-    """Tag every span opened inside with ``trace_id`` (None = no-op).
-
-    This is the cross-process propagation primitive: the dispatcher
-    mints an id per request, the worker entry point re-installs it, and
-    spans on both sides then share the attr that re-parents them into
-    one logical request on telemetry merge.
-    """
-    if trace_id is None:
-        yield None
-        return
-    previous = _current_trace_id
-    set_trace_id(trace_id)
-    try:
-        yield trace_id
-    finally:
-        set_trace_id(previous)
 
 
 def current_run_trace() -> RunTrace | None:
@@ -385,15 +318,8 @@ def use_run_trace(trace: RunTrace) -> Iterator[RunTrace]:
 
 
 def span(name: str, **attrs):
-    """Open a timed span in the active trace (no-op when tracing is off).
-
-    When an ambient trace id is installed (:func:`use_trace_id`), the
-    span tags itself with it under ``trace_id`` unless the caller passed
-    one explicitly.
-    """
+    """Open a timed span in the active trace (no-op when tracing is off)."""
     trace = _active_trace
     if trace is None:
         return _NOOP_SPAN
-    if _current_trace_id is not None and "trace_id" not in attrs:
-        attrs["trace_id"] = _current_trace_id
     return _SpanContext(trace, name, attrs)

@@ -366,6 +366,8 @@ def parse_timeseries_jsonl(text: str) -> tuple[dict, list[WindowSnapshot]]:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid timeseries JSONL line: {line[:80]!r}") from exc
+        if not isinstance(payload, dict):
+            raise DataError(f"timeseries JSONL line is not an object: {line[:80]!r}")
         kind = payload.get("kind", "window")
         if kind == "meta":
             meta = {k: v for k, v in payload.items() if k != "kind"}

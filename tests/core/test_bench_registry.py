@@ -137,7 +137,7 @@ GOOD = {
     },
     "serve_replay_cold": {
         "serve_replay_cold": NS(identities=lambda: [(0, "ok", (1, 2))]),
-        "serve_replay_cold@jobs1": NS(identities=lambda: [(0, "ok", (1, 2))]),
+        "serve_replay_warm": NS(identities=lambda: [(0, "ok", (1, 2))]),
     },
     "serve_saturation_shed": {
         "serve_saturation_shed": NS(

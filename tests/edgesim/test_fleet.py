@@ -9,6 +9,7 @@ import pytest
 
 from repro.edgesim.fleet import FleetConfig, FleetSimulator, _fifo_ends, _SlotPool
 from repro.edgesim.network import RegionalNetwork
+from repro.edgesim.shard import result_digest
 from repro.errors import ConfigurationError
 
 
@@ -50,6 +51,17 @@ class TestFleetRun:
         assert first.latency_mean_s == second.latency_mean_s
         assert first.latency_p99_s == second.latency_p99_s
         assert [w.start_s for w in first.windows] == [w.start_s for w in second.windows]
+
+    def test_one_simulator_runs_twice_to_one_digest(self):
+        """``run`` is re-entrant: node liveness, incarnations, busy-until
+        times and the per-region rotation all restart with each run."""
+        sim = FleetSimulator(
+            FleetConfig(n_nodes=2_000, n_regions=20, duration_s=5.0, churn_rate_hz=10.0, seed=1)
+        )
+        first = sim.run()
+        second = sim.run()
+        assert first.failures > 0
+        assert result_digest(second) == result_digest(first)
 
     def test_seed_changes_outcome(self):
         assert _run(seed=1).latency_mean_s != _run(seed=2).latency_mean_s

@@ -1,8 +1,10 @@
-"""Dispatcher contract: determinism, cache accounting, and backpressure."""
+"""Dispatcher contract: cache accounting, batched rollouts, and backpressure.
+
+Determinism is pinned by ``test_golden.py``.
+"""
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -152,7 +154,7 @@ class TestRolloutSolver:
 
     def test_batched_miss_groups_match_serial_worker_path(self, monkeypatch, trained):
         """Replay through solve_batch == replay through the plain
-        per-problem callable (which takes the worker fan-out path)."""
+        per-problem callable (which solves each miss group on its own)."""
         from repro.rl.env import AllocationEnv
         from repro.serve.dispatcher import RolloutSolver
 
@@ -179,40 +181,6 @@ class TestRolloutSolver:
             dispatcher.replay(requests)
             report = dispatcher.replay(requests)
         assert all(r.cache_hit for r in report.responses)
-
-
-class TestDeterminism:
-    @pytest.fixture(autouse=True)
-    def _force_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
-        yield
-        from repro.parallel import shutdown_worker_pool
-
-        shutdown_worker_pool()
-
-    def test_jobs1_equals_jobsN_on_fixed_trace(self):
-        """The acceptance-criteria contract: replay is a pure trace function."""
-        config = small_config(redraw_every=20)  # more regimes → more real solves
-        geometry, requests = generate_trace(config)
-        with Dispatcher(geometry, dataclasses.replace(config, jobs=1)) as serial:
-            serial_ids = serial.replay(requests).identities()
-        with Dispatcher(geometry, dataclasses.replace(config, jobs=3)) as parallel:
-            parallel_ids = parallel.replay(requests).identities()
-        assert serial_ids == parallel_ids
-        assert len(serial_ids) == len(requests)
-
-    def test_parallel_run_shares_geometry_once(self):
-        """jobs>1 publishes the geometry through the shared store and releases it."""
-        from repro.parallel.shm import get_shared_store
-
-        config = small_config(jobs=2, duration_s=0.1)
-        geometry, requests = generate_trace(config)
-        store = get_shared_store()
-        before = len(store)
-        with Dispatcher(geometry, config) as dispatcher:
-            dispatcher.replay(requests)
-            assert len(store) == before + 1
-        assert len(store) == before
 
 
 class TestBackpressure:

@@ -83,6 +83,20 @@ class TestEndpoints:
             status, _ = _get(server.url + "/nope")
             assert status == 404
 
+    def test_malformed_input_fails_cleanly_and_server_keeps_answering(self, stack):
+        registry, aggregator, _ = stack
+        with ObservabilityServer(registry=registry, aggregator=aggregator) as server:
+            for last in ("abc", "1.5", "2e3"):
+                status, body = _get(server.url + f"/timeseries?last={last}")
+                assert status == 400
+                assert json.loads(body)["error"] == f"last must be an integer, got {last!r}"
+            status, body = _get(server.url + "/no/such/path?last=abc")
+            assert status == 404
+            assert "unknown path" in json.loads(body)["error"]
+            status, body = _get(server.url + "/timeseries?last=1")
+            assert status == 200
+            assert json.loads(body.splitlines()[1])["kind"] == "window"
+
     def test_healthz_503_while_breaching(self, stack):
         registry, aggregator, _ = stack
         evaluator = SLOEvaluator(

@@ -112,10 +112,16 @@ class TestAllocationResponse:
 
 class TestServeConfig:
     def test_round_trip(self):
-        config = ServeConfig(
-            arrival_rate_hz=1500.0, duration_s=0.5, sampler="gauss_poisson", jobs=3
-        )
+        config = ServeConfig(arrival_rate_hz=1500.0, duration_s=0.5, sampler="gauss_poisson")
         assert ServeConfig.from_dict(config.to_dict()) == config
+
+    def test_jobs_is_one_and_not_serialized(self):
+        """The dispatcher solves in-process: ``jobs`` only accepts 1, an
+        old wire dict carrying ``"jobs": 1`` still parses, and
+        ``to_dict`` no longer emits it."""
+        assert ServeConfig(jobs=1) == ServeConfig()
+        assert "jobs" not in ServeConfig().to_dict()
+        assert ServeConfig.from_dict({**ServeConfig().to_dict(), "jobs": 1}) == ServeConfig()
 
     def test_unknown_fields_ignored(self):
         payload = ServeConfig().to_dict()
@@ -141,6 +147,7 @@ class TestServeConfig:
             {"n_tasks": 0},
             {"drift_sigma": -1e-9},
             {"redraw_every": -1},
+            {"jobs": 2},
         ],
     )
     def test_invalid_config_rejected(self, overrides):

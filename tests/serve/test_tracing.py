@@ -1,27 +1,17 @@
-"""Cross-process request tracing through the dispatcher and worker pool.
+"""Request tracing through the dispatcher.
 
 The observability contract under test: every request gets a trace id
-echoed in its response; worker-side solve spans carry the same id and
-re-parent under the originating ``serve.request`` anchor span on merge;
-and the merge stays idempotent when one persistent WorkerPool serves
-several dispatcher drains (no duplicated spans or counters).
+echoed in its response; each cache-miss solve runs in a ``serve.solve``
+span whose parent is the ``serve.request`` span of the request it
+answers, tagged with that request's trace id; and a warm replay, which
+solves nothing, opens no solve spans.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.parallel.pool import shutdown_worker_pool
 from repro.serve import Dispatcher, ServeConfig, generate_trace
 from repro.serve.schemas import AllocationRequest
-from repro.telemetry import (
-    MetricsRegistry,
-    RunTrace,
-    current_trace_id,
-    use_registry,
-    use_run_trace,
-    use_trace_id,
-)
+from repro.telemetry import RunTrace, use_run_trace
 
 
 def traced_config(**overrides) -> ServeConfig:
@@ -36,21 +26,6 @@ def traced_config(**overrides) -> ServeConfig:
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
-
-
-class TestTraceIdContext:
-    def test_ambient_trace_id_nests_and_restores(self):
-        assert current_trace_id() is None
-        with use_trace_id("outer"):
-            assert current_trace_id() == "outer"
-            with use_trace_id("inner"):
-                assert current_trace_id() == "inner"
-            assert current_trace_id() == "outer"
-        assert current_trace_id() is None
-
-    def test_none_leaves_context_untouched(self):
-        with use_trace_id("outer"), use_trace_id(None):
-            assert current_trace_id() == "outer"
 
 
 class TestResponseTraceIds:
@@ -90,100 +65,56 @@ class TestResponseTraceIds:
         assert first.responses[0].trace_id != second.responses[0].trace_id
 
 
-class TestWorkerSpanReparenting:
-    @pytest.fixture(autouse=True)
-    def _force_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
-        yield
-        shutdown_worker_pool()
+def _solve_spans(trace: RunTrace) -> list:
+    return [span for span in trace.spans if span.name == "serve.solve"]
 
-    def test_worker_solve_spans_share_request_trace_ids(self):
-        config = traced_config(jobs=2)
+
+class TestRequestSpans:
+    def test_solve_spans_are_children_of_request_spans(self):
+        config = traced_config()
         geometry, requests = generate_trace(config)
-        registry = MetricsRegistry()
         trace = RunTrace(label="test")
-        with use_registry(registry), use_run_trace(trace):
-            with Dispatcher(geometry, config) as dispatcher:
-                report = dispatcher.replay(requests)
+        with use_run_trace(trace), Dispatcher(geometry, config) as dispatcher:
+            report = dispatcher.replay(requests)
 
-        anchors = {
-            span.attrs["trace_id"]: index
-            for index, span in enumerate(trace.spans)
-            if span.name == "serve.request"
-        }
-        worker_solves = [
-            span
-            for span in trace.spans
-            if span.name == "serve.solve" and span.attrs.get("clock") == "worker"
-        ]
-        assert worker_solves, "expected worker-side solve spans"
-        # The acceptance contract: dispatcher request span and worker solve
-        # span share a trace_id, and the solve re-parents under the anchor.
-        for span in worker_solves:
-            trace_id = span.attrs["trace_id"]
-            assert trace_id in anchors
-            assert span.parent == anchors[trace_id]
-        # Those trace ids belong to real responses.
+        solves = _solve_spans(trace)
+        assert solves, "expected cache-miss solve spans"
         response_ids = {r.trace_id for r in report.responses}
-        assert {s.attrs["trace_id"] for s in worker_solves} <= response_ids
+        for span in solves:
+            parent = trace.spans[span.parent]
+            assert parent.name == "serve.request"
+            assert parent.attrs["trace_id"] in response_ids
+            assert parent.start <= span.start <= span.end <= parent.end
+        # One solve per request span, one request span per miss group.
+        parents = [span.parent for span in solves]
+        assert len(parents) == len(set(parents))
+        assert len(parents) == sum(1 for s in trace.spans if s.name == "serve.request")
 
-    def test_pool_reuse_merges_once(self):
-        """Two replays on one pool: spans and counters are not duplicated."""
-        config = traced_config(jobs=2)
+    def test_warm_replay_adds_no_solve_span(self):
+        config = traced_config()
         geometry, requests = generate_trace(config)
-        registry = MetricsRegistry()
         trace = RunTrace(label="test")
-        with use_registry(registry), use_run_trace(trace):
-            with Dispatcher(geometry, config) as dispatcher:
-                dispatcher.replay(requests)
-                first_spans = len(trace.spans)
-                first_anchor_count = sum(
-                    1 for s in trace.spans if s.name == "serve.request"
-                )
-                first_solves = registry.counter(
-                    "repro_parallel_tasks_total", label="serve"
-                ).value
-                # Second replay: warm cache, so no new solves at all.
-                dispatcher.replay(requests)
-        second_anchor_count = sum(1 for s in trace.spans if s.name == "serve.request")
-        assert second_anchor_count == first_anchor_count
-        assert (
-            registry.counter("repro_parallel_tasks_total", label="serve").value
-            == first_solves
-        )
-        # No worker spans re-merged: the only additions are replay bookkeeping.
-        new_spans = trace.spans[first_spans:]
-        assert all(s.attrs.get("clock") != "worker" for s in new_spans)
-        # One anchor per miss group, each anchored exactly once.
-        anchor_ids = [
-            s.attrs["trace_id"] for s in trace.spans if s.name == "serve.request"
-        ]
-        assert len(anchor_ids) == len(set(anchor_ids))
+        with use_run_trace(trace), Dispatcher(geometry, config) as dispatcher:
+            dispatcher.replay(requests)
+            first = len(trace.spans)
+            solves = len(_solve_spans(trace))
+            report = dispatcher.replay(requests)
+        assert all(r.cache_hit for r in report.responses)
+        assert len(_solve_spans(trace)) == solves
+        assert [s.name for s in trace.spans[first:]] == ["serve.replay"]
 
-    def test_cold_second_dispatcher_reuses_pool_without_duplicates(self):
-        """A second dispatcher on the same pool still merges each task once."""
-        config = traced_config(jobs=2)
+    def test_cold_second_dispatcher_traces_its_own_requests(self):
+        """A second cold dispatcher re-solves the same groups under request
+        spans carrying its own trace ids."""
+        config = traced_config()
         geometry, requests = generate_trace(config)
-        registry = MetricsRegistry()
         trace = RunTrace(label="test")
-        with use_registry(registry), use_run_trace(trace):
+        with use_run_trace(trace):
             with Dispatcher(geometry, config) as one:
                 one.replay(requests)
-            solves_after_first = registry.counter(
-                "repro_parallel_tasks_total", label="serve"
-            ).value
+            solves_after_first = len(_solve_spans(trace))
             with Dispatcher(geometry, config) as two:
                 two.replay(requests)
-        # The cold dispatcher re-solved the same groups: counts doubled,
-        # not tripled/garbled, and every solve span maps to a distinct anchor.
-        assert (
-            registry.counter("repro_parallel_tasks_total", label="serve").value
-            == 2 * solves_after_first
-        )
-        worker_solves = [
-            s
-            for s in trace.spans
-            if s.name == "serve.solve" and s.attrs.get("clock") == "worker"
-        ]
-        parents = [s.parent for s in worker_solves]
-        assert len(parents) == len(set(parents))
+        assert len(_solve_spans(trace)) == 2 * solves_after_first
+        ids = [s.attrs["trace_id"] for s in trace.spans if s.name == "serve.request"]
+        assert len(ids) == len(set(ids))

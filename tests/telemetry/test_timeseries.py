@@ -193,6 +193,8 @@ class TestSerialization:
         with pytest.raises(DataError):
             parse_timeseries_jsonl("{not json}\n")
         with pytest.raises(DataError):
+            parse_timeseries_jsonl("[1, 2]\n")
+        with pytest.raises(DataError):
             WindowSnapshot.from_dict({"index": "x"})
 
     def test_table_prefers_serving_families(self):

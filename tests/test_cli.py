@@ -249,6 +249,28 @@ class TestObservabilityCli:
         assert "window" in out
         assert "serve_requests/s" in out
 
+    def test_top_reports_a_truncated_file_in_one_line(self, tmp_path, capsys):
+        from repro.telemetry import MetricsRegistry, TimeSeriesAggregator
+
+        registry = MetricsRegistry()
+        clock = [0.0]
+        aggregator = TimeSeriesAggregator(registry, window_s=1.0, clock=lambda: clock[0])
+        for tick in range(1, 4):
+            registry.counter("repro_serve_requests_total", status="ok").inc()
+            clock[0] = float(tick)
+            aggregator.maybe_tick()
+        path = tmp_path / "ts.jsonl"
+        aggregator.write_jsonl(path)
+        text = path.read_text()
+        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+
+        assert main(["top", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("top: DataError: invalid timeseries JSONL line")
+
     def test_top_requires_exactly_one_source(self, tmp_path, capsys):
         assert main(["top"]) == 2
         assert main(["top", "--endpoint", "http://x", "--file", "f"]) == 2
