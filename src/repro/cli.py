@@ -672,6 +672,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
 
 def _command_top(args: argparse.Namespace) -> int:
     import time as _time
+    import urllib.error
 
     from repro.errors import DataError
     from repro.telemetry import (
@@ -687,7 +688,6 @@ def _command_top(args: argparse.Namespace) -> int:
     def render_once() -> None:
         if args.endpoint is not None:
             import json as _json
-            import urllib.error
             import urllib.request
 
             base = args.endpoint.rstrip("/")
@@ -723,6 +723,9 @@ def _command_top(args: argparse.Namespace) -> int:
         pass
     except DataError as exc:  # a truncated or malformed timeseries
         print(f"top: DataError: {exc}", file=sys.stderr)
+        return 2
+    except urllib.error.URLError as exc:  # endpoint down or refusing
+        print(f"top: {type(exc).__name__}: {exc.reason}", file=sys.stderr)
         return 2
     return 0
 

@@ -238,8 +238,9 @@ class CalendarQueue:
     def pop_event(self) -> tuple[float, int, int, int] | None:
         """Pop the single next event in (time, sequence) order.
 
-        Used by the epoch-identity kernel, which must interleave event kinds
-        exactly like :class:`EventQueue`. Advances the clock.
+        The fleet engine pops whole cohorts (:meth:`pop_cohort`); this
+        per-event pop lets the property tests check the drain order
+        against :class:`EventQueue`. Advances the clock.
         """
         if not self._ensure_current():
             return None

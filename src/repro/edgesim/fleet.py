@@ -47,15 +47,54 @@ _F_RECOVER = 4
 _F_REFILL = 5
 
 
-def _fifo_ends(ready: np.ndarray, durations: np.ndarray, busy0: float) -> np.ndarray:
-    """Completion times of a FIFO resource serving jobs in array order.
+def _segmented_fifo_ends(
+    ready: np.ndarray, durations: np.ndarray, counts: np.ndarray, busy0: np.ndarray
+) -> np.ndarray:
+    """Completion times of FIFO resources, one per consecutive segment.
 
-    Solves ``end_i = max(ready_i, end_{i-1}) + d_i`` (with ``end_0``
-    seeded by ``busy0``) without a Python loop: with ``s = cumsum(d)``,
+    Segment ``k`` is the next ``counts[k]`` jobs of ``ready``/``durations``,
+    served in array order by a resource busy until ``busy0[k]``. Each
+    segment solves ``end_i = max(ready_i, end_{i-1}) + d_i`` without a
+    Python loop: with ``s = cumsum(d)``,
     ``end_i = s_i + max_{j<=i} max(busy0, ready_j - s_{j-1})``.
+
+    Segments are laid out as rows of a matrix padded at the end (``ready``
+    with ``-inf``, durations with 0), so the row-wise ``cumsum`` and
+    ``maximum.accumulate`` run left to right over each segment exactly as
+    the 1-D scan would: results are bitwise those of a per-segment scan.
+    Rows are grouped by power-of-two length class, so padding never
+    exceeds the jobs of a class and memory stays O(jobs) however skewed
+    the segments are, at O(log longest segment) numpy passes.
     """
-    s = np.cumsum(durations)
-    return s + np.maximum.accumulate(np.maximum(ready - (s - durations), busy0))
+    starts = np.cumsum(counts) - counts
+    ends = np.empty(len(ready), dtype=np.float64)
+    classes = np.frexp(counts)[1]
+    for length_class in np.unique(classes):
+        rows = np.flatnonzero(classes == length_class)
+        row_counts = counts[rows]
+        columns = np.arange(row_counts.max())
+        mask = columns < row_counts[:, None]
+        index = (starts[rows][:, None] + columns)[mask]
+        padded_ready = np.full(mask.shape, -np.inf)
+        padded_ready[mask] = ready[index]
+        padded_durations = np.zeros(mask.shape)
+        padded_durations[mask] = durations[index]
+        s = np.cumsum(padded_durations, axis=1)
+        waits = np.maximum(padded_ready - (s - padded_durations), busy0[rows][:, None])
+        ends[index] = (s + np.maximum.accumulate(waits, axis=1))[mask]
+    return ends
+
+
+def _segments(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, starts, counts)`` of the runs of equal values in a sorted array."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1] = len(sorted_keys) - starts[-1]
+    return sorted_keys[starts], starts, counts
 
 
 @dataclass(frozen=True)
@@ -283,9 +322,11 @@ class FleetSimulator:
                 )
         self._c_s_per_bit = s_per_bit
         self._c_region = region
-        self._region_nodes = [
-            np.flatnonzero(self._c_region == r) for r in range(config.n_regions)
-        ]
+        # Region membership as CSR: region r's nodes, ascending, are
+        # _members[_member_start[r] : _member_start[r] + _member_count[r]].
+        self._members = np.argsort(region, kind="stable")
+        self._member_count = np.bincount(region, minlength=config.n_regions)
+        self._member_start = np.cumsum(self._member_count) - self._member_count
 
     def _reset_nodes(self) -> None:
         """Every node alive, idle and at the head of its region's rotation:
@@ -294,22 +335,43 @@ class FleetSimulator:
         self._c_alive = np.ones(n, dtype=bool)
         self._c_incarnation = np.zeros(n, dtype=np.int64)
         self._c_busy_until = np.zeros(n, dtype=np.float64)
-        self._region_rr = [0] * self._config.n_regions
+        self._region_rr = np.zeros(self._config.n_regions, dtype=np.int64)
 
-    def _pick_nodes(self, region: int, k: int) -> np.ndarray:
-        """Round-robin ``k`` alive nodes of ``region`` (-1 = region down)."""
-        members = self._region_nodes[region]
-        m = len(members)
-        pointer = self._region_rr[region]
-        chosen = members[(pointer + np.arange(k)) % m]
-        self._region_rr[region] = (pointer + k) % m
+    def _pick_nodes(
+        self, regions: np.ndarray, starts: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Round-robin alive nodes for a cohort grouped by region.
+
+        Segment ``k`` asks ``counts[k]`` nodes of region ``regions[k]`` and
+        occupies ``[starts[k], starts[k] + counts[k])`` of the result. A
+        pick that lands on a dead node is replaced by an alive member of
+        the same region; -1 marks a region with no node alive.
+        """
+        total = int(counts.sum())
+        m = self._member_count[regions]
+        pointer = self._region_rr[regions]
+        offset = np.arange(total) - np.repeat(starts, counts)
+        chosen = self._members[
+            np.repeat(self._member_start[regions], counts)
+            + (np.repeat(pointer, counts) + offset) % np.repeat(m, counts)
+        ]
+        self._region_rr[regions] = (pointer + counts) % m
         dead = np.flatnonzero(~self._c_alive[chosen])
         if len(dead):
-            alive_members = members[self._c_alive[members]]
-            if len(alive_members) == 0:
-                return np.full(k, -1, dtype=np.int64)
-            chosen = chosen.copy()
-            chosen[dead] = alive_members[(pointer + dead) % len(alive_members)]
+            # Churn path: repair the picks of each region that hit a dead node.
+            segment = np.searchsorted(starts, dead, side="right") - 1
+            for k in np.unique(segment):
+                region = regions[k]
+                first = self._member_start[region]
+                members = self._members[first : first + self._member_count[region]]
+                alive_members = members[self._c_alive[members]]
+                if len(alive_members) == 0:
+                    chosen[starts[k] : starts[k] + counts[k]] = -1
+                    continue
+                hit = dead[segment == k]
+                chosen[hit] = alive_members[
+                    (pointer[k] + hit - starts[k]) % len(alive_members)
+                ]
         return chosen
 
     def run(self, *, trace=None) -> FleetResult:
@@ -461,53 +523,45 @@ class FleetSimulator:
         def route(times: np.ndarray, slot_ids: np.ndarray, regions: np.ndarray) -> None:
             """Assign nodes and push transfers through each region's radio.
 
-            One argsort-split groups the cohort by region (stable, so
-            per-region time order is preserved for the radio FIFO); all
-            transfer completions go back to the calendar as one batch.
+            One stable argsort groups the cohort by region (per-region time
+            order is preserved for the radio FIFO); one segmented scan
+            serves every region's radio, and all transfer completions go
+            back to the calendar as one batch.
             """
             nonlocal dropped, in_flight
             order = np.argsort(regions, kind="stable")
-            sorted_regions = regions[order]
-            unique, starts = np.unique(sorted_regions, return_index=True)
-            boundaries = np.append(starts, len(order))
-            all_ends: list[np.ndarray] = []
-            all_slots: list[np.ndarray] = []
-            for i, region in enumerate(unique):
-                segment = order[boundaries[i] : boundaries[i + 1]]
-                region_times = times[segment]
-                region_slots = slot_ids[segment]
-                nodes = self._pick_nodes(int(region), len(region_slots))
-                down = nodes < 0
-                if down.any():
-                    lost = region_slots[down]
-                    dropped += len(lost)
-                    dropped_counter.inc(len(lost))
-                    in_flight -= len(lost)
-                    slots.free(lost)
-                    keep = ~down
-                    region_times = region_times[keep]
-                    region_slots = region_slots[keep]
-                    nodes = nodes[keep]
-                    if len(region_slots) == 0:
-                        continue
-                slots.node[region_slots] = nodes
-                slots.incarnation[region_slots] = self._c_incarnation[nodes]
-                sizes = slots.size_mbit[region_slots]
-                ready = region_times + (backhaul_latency + sizes / backhaul_bw)
-                access_durations = access_latency + sizes / access_bw
-                ends = _fifo_ends(ready, access_durations, radio_busy[region])
-                radio_busy[region] = float(ends[-1])
-                all_ends.append(ends)
-                all_slots.append(region_slots)
-            if all_ends:
-                ends = np.concatenate(all_ends)
-                batch_slots = np.concatenate(all_slots)
-                calendar.schedule_batch(
-                    ends,
-                    np.full(len(ends), _F_XFER_DONE, dtype=np.int32),
-                    batch_slots,
-                    np.zeros(len(ends), dtype=np.int64),
-                )
+            times, slot_ids = times[order], slot_ids[order]
+            unique, starts, counts = _segments(regions[order])
+            nodes = self._pick_nodes(unique, starts, counts)
+            down = nodes < 0
+            if down.any():
+                lost = slot_ids[down]
+                dropped += len(lost)
+                dropped_counter.inc(len(lost))
+                in_flight -= len(lost)
+                slots.free(lost)
+                # A region is down as a whole, so whole segments drop out.
+                up = ~down[starts]
+                unique, counts = unique[up], counts[up]
+                keep = ~down
+                times, slot_ids, nodes = times[keep], slot_ids[keep], nodes[keep]
+                if len(slot_ids) == 0:
+                    return
+            slots.node[slot_ids] = nodes
+            slots.incarnation[slot_ids] = self._c_incarnation[nodes]
+            sizes = slots.size_mbit[slot_ids]
+            ready = times + (backhaul_latency + sizes / backhaul_bw)
+            access_durations = access_latency + sizes / access_bw
+            ends = _segmented_fifo_ends(
+                ready, access_durations, counts, radio_busy[unique]
+            )
+            radio_busy[unique] = ends[np.cumsum(counts) - 1]
+            calendar.schedule_batch(
+                ends,
+                np.full(len(ends), _F_XFER_DONE, dtype=np.int32),
+                slot_ids,
+                np.zeros(len(ends), dtype=np.int64),
+            )
 
         def redispatch(times: np.ndarray, slot_ids: np.ndarray) -> None:
             """Churn-lost work: fresh transfer to a survivor (same region)."""
@@ -561,23 +615,20 @@ class FleetSimulator:
                     continue
                 durations = (slots.size_mbit[a] * 1e6) * self._c_s_per_bit[nodes]
                 order = np.argsort(nodes, kind="stable")
-                sorted_nodes = nodes[order]
-                unique, starts = np.unique(sorted_nodes, return_index=True)
+                unique, _starts, counts = _segments(nodes[order])
                 if len(unique) == len(nodes):
                     ends = np.maximum(times, self._c_busy_until[nodes]) + durations
                     self._c_busy_until[nodes] = ends
                 else:
+                    node_ends = _segmented_fifo_ends(
+                        times[order],
+                        durations[order],
+                        counts,
+                        self._c_busy_until[unique],
+                    )
+                    self._c_busy_until[unique] = node_ends[np.cumsum(counts) - 1]
                     ends = np.empty(len(nodes), dtype=np.float64)
-                    boundaries = np.append(starts, len(sorted_nodes))
-                    for i, node in enumerate(unique):
-                        segment = order[boundaries[i] : boundaries[i + 1]]
-                        node_ends = _fifo_ends(
-                            times[segment],
-                            durations[segment],
-                            float(self._c_busy_until[node]),
-                        )
-                        ends[segment] = node_ends
-                        self._c_busy_until[node] = float(node_ends[-1])
+                    ends[order] = node_ends
                 calendar.schedule_batch(
                     ends,
                     np.full(len(ends), _F_EXEC_DONE, dtype=np.int32),

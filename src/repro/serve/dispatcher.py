@@ -21,6 +21,9 @@ is shed immediately with a 429-style ``rejected`` response and counted
 in ``repro_serve_rejections_total{reason="queue_full"}``. Under
 sustained overload the queue depth and per-request latency therefore
 stay bounded while the rejection counter grows — shed, don't drown.
+A request naming a solver the dispatcher does not know is answered
+``rejected`` too (``reason="unknown_solver"``); the rest of its batch is
+served as usual.
 
 Two drain modes:
 
@@ -198,7 +201,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _serve_batch(
         self, batch: Sequence[AllocationRequest], ids: Sequence[str]
-    ) -> list[tuple[dict[int, int], bool]]:
+    ) -> list[tuple[dict[int, int], bool] | None]:
         """Answer a batch: cache hits first, then one solve per miss group.
 
         Misses are deduplicated by cache key (the drift regime makes
@@ -207,11 +210,15 @@ class Dispatcher:
         share one lockstep rollout; every other group solves under a
         ``serve.request`` span carrying the lead request's trace id, so
         its ``serve.solve`` span is a child of the request it answers.
+        A request naming an unknown solver gets ``None``.
         """
         answers: list[tuple[dict[int, int], bool] | None] = [None] * len(batch)
         misses: "OrderedDict[object, list[int]]" = OrderedDict()
         keys: list[tuple | None] = []
         for index, request in enumerate(batch):
+            if request.solver not in SOLVERS:
+                keys.append(None)
+                continue
             key = self._cache_key(request)
             keys.append(key)
             if key is not None:
@@ -258,10 +265,27 @@ class Dispatcher:
             ), span("serve.solve", solver=lead.solver):
                 allocation = SOLVERS[lead.solver](self._problem(lead))
             settle(indices, allocation.as_assignment())
-        return answers  # type: ignore[return-value]
+        return answers
 
     def _problem(self, request: AllocationRequest) -> TATIMProblem:
         return self.geometry.scaled(importance=np.asarray(request.importance, dtype=float))
+
+    @staticmethod
+    def _reject(
+        request: AllocationRequest,
+        reason: str,
+        kpis: KPITracker | None = None,
+        trace_id: str | None = None,
+    ) -> AllocationResponse:
+        """A ``rejected`` answer with an empty assignment, counted by reason."""
+        if kpis is not None:
+            kpis.record_rejected(reason=reason)
+        return AllocationResponse(
+            request_id=request.request_id,
+            status="rejected",
+            solver=request.solver,
+            trace_id=trace_id,
+        )
 
     def _respond(
         self,
@@ -293,7 +317,10 @@ class Dispatcher:
         """Answer one request synchronously (no queueing)."""
         started = time.perf_counter()
         (trace_id,) = self._mint_ids([request])
-        ((assignment, cache_hit),) = self._serve_batch([request], [trace_id])
+        (answer,) = self._serve_batch([request], [trace_id])
+        if answer is None:
+            return self._reject(request, "unknown_solver", trace_id=trace_id)
+        assignment, cache_hit = answer
         elapsed = time.perf_counter() - started
         return self._respond(
             request,
@@ -334,9 +361,13 @@ class Dispatcher:
                 batch_started = time.perf_counter()
                 answers = self._serve_batch(batch, ids)
                 per_request_s = (time.perf_counter() - batch_started) / len(batch)
-                for request, (assignment, cache_hit), trace_id in zip(
-                    batch, answers, ids
-                ):
+                for request, answer, trace_id in zip(batch, answers, ids):
+                    if answer is None:
+                        responses.append(
+                            self._reject(request, "unknown_solver", kpis, trace_id)
+                        )
+                        continue
+                    assignment, cache_hit = answer
                     response = self._respond(
                         request,
                         assignment,
@@ -397,14 +428,7 @@ class Dispatcher:
                     request = requests[next_index]
                     next_index += 1
                     if len(pending) >= queue_depth:
-                        kpis.record_rejected(reason="queue_full")
-                        responses.append(
-                            AllocationResponse(
-                                request_id=request.request_id,
-                                status="rejected",
-                                solver=request.solver,
-                            )
-                        )
+                        responses.append(self._reject(request, "queue_full", kpis))
                         continue
                     pending.append(request)
                 kpis.observe_queue_depth(len(pending))
@@ -422,9 +446,13 @@ class Dispatcher:
                 answers = self._serve_batch(batch, ids)
                 batch_finished = time.perf_counter() - started
                 service_s = (batch_finished - batch_started) / len(batch)
-                for request, (assignment, cache_hit), trace_id in zip(
-                    batch, answers, ids
-                ):
+                for request, answer, trace_id in zip(batch, answers, ids):
+                    if answer is None:
+                        responses.append(
+                            self._reject(request, "unknown_solver", kpis, trace_id)
+                        )
+                        continue
+                    assignment, cache_hit = answer
                     response = self._respond(
                         request,
                         assignment,

@@ -42,7 +42,8 @@ from repro.errors import ConfigurationError, DataError
 SCHEMA_VERSION = 1
 
 #: Request statuses an :class:`AllocationResponse` may carry. ``rejected``
-#: is the 429-style admission-control shed (see ``dispatcher.py``).
+#: is the 429-style admission-control shed or an unknown solver (see
+#: ``dispatcher.py``).
 RESPONSE_STATUSES = ("ok", "rejected")
 
 
@@ -139,8 +140,8 @@ class AllocationResponse:
     """The dispatcher's answer to one :class:`AllocationRequest`.
 
     ``status == "ok"`` carries the allocation; ``"rejected"`` is the
-    admission-control shed (queue saturated) and carries an empty
-    assignment. Latency fields are wall-clock measurements and therefore
+    admission-control shed (queue saturated) or a request naming an
+    unknown solver, and carries an empty assignment. Latency fields are wall-clock measurements and therefore
     *not* part of the deterministic identity — compare responses across
     runs with :meth:`identity`. ``trace_id`` is likewise an
     observability-only echo (per-run unique), excluded from identity.

@@ -6,8 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.edgesim.fleet import FleetConfig, FleetSimulator, _fifo_ends, _SlotPool
+from repro.edgesim.fleet import (
+    FleetConfig,
+    FleetSimulator,
+    _segmented_fifo_ends,
+    _SlotPool,
+)
 from repro.edgesim.network import RegionalNetwork
 from repro.edgesim.shard import result_digest
 from repro.errors import ConfigurationError
@@ -161,6 +168,7 @@ class TestFleetMemory:
 class TestFifoEnds:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scalar_fifo(self, seed):
+        """One resource is one segment: the kernel must match a scalar FIFO."""
         rng = np.random.default_rng(seed)
         ready = np.sort(rng.uniform(0.0, 10.0, size=50))
         durations = rng.uniform(0.01, 2.0, size=50)
@@ -171,5 +179,86 @@ class TestFifoEnds:
             start = max(r, busy)
             busy = start + d
             expected.append(busy)
-        got = _fifo_ends(ready, durations, busy0)
+        got = _segmented_fifo_ends(
+            ready, durations, np.array([50], dtype=np.int64), np.array([busy0])
+        )
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def _per_segment_closed_form(ready, durations, counts, busy0):
+    """The 1-D FIFO scan run on each segment on its own."""
+    ends, start = [], 0
+    for count, busy in zip(counts, busy0):
+        r = ready[start : start + count]
+        d = durations[start : start + count]
+        s = np.cumsum(d)
+        ends.append(s + np.maximum.accumulate(np.maximum(r - (s - d), busy)))
+        start += count
+    return np.concatenate(ends)
+
+
+# Ready times on a coarse grid, so ties within a segment are common;
+# busy times reach past every ready time, so some resources start busy.
+_ready = st.integers(min_value=0, max_value=40).map(lambda t: t / 4)
+_duration = st.floats(min_value=1e-3, max_value=3.0, allow_nan=False)
+_busy = st.integers(min_value=0, max_value=60).map(lambda t: t / 4)
+
+
+@st.composite
+def _segmented_jobs(draw):
+    counts = draw(
+        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12)
+    )
+    n = sum(counts)
+    ready = draw(st.lists(_ready, min_size=n, max_size=n))
+    durations = draw(st.lists(_duration, min_size=n, max_size=n))
+    busy0 = draw(st.lists(_busy, min_size=len(counts), max_size=len(counts)))
+    return (
+        np.asarray(ready, dtype=np.float64),
+        np.asarray(durations, dtype=np.float64),
+        np.asarray(counts, dtype=np.int64),
+        np.asarray(busy0, dtype=np.float64),
+    )
+
+
+class TestSegmentedFifoEnds:
+    @given(_segmented_jobs())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_per_segment_scan(self, jobs):
+        ready, durations, counts, busy0 = jobs
+        got = _segmented_fifo_ends(ready, durations, counts, busy0)
+        expected = _per_segment_closed_form(ready, durations, counts, busy0)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+
+    @given(_segmented_jobs())
+    @settings(max_examples=100, deadline=None)
+    def test_serves_each_segment_first_in_first_out(self, jobs):
+        ready, durations, counts, busy0 = jobs
+        got = _segmented_fifo_ends(ready, durations, counts, busy0)
+        expected, start = [], 0
+        for count, busy in zip(counts, busy0):
+            for r, d in zip(ready[start : start + count], durations[start : start + count]):
+                busy = max(r, busy) + d
+                expected.append(busy)
+            start += count
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_skewed_segments_stay_linear_in_memory(self):
+        """One 50k-job segment beside 50k singletons: a dense padded matrix
+        would hold 2.5e9 cells; the length classes keep it O(jobs)."""
+        rng = np.random.default_rng(0)
+        counts = np.concatenate(([50_000], np.ones(50_000, dtype=np.int64)))
+        n = int(counts.sum())
+        ready = np.sort(rng.uniform(0.0, 100.0, size=n))
+        durations = rng.uniform(0.01, 0.1, size=n)
+        busy0 = rng.uniform(0.0, 50.0, size=len(counts))
+        input_bytes = ready.nbytes + durations.nbytes + counts.nbytes + busy0.nbytes
+        tracemalloc.start()
+        got = _segmented_fifo_ends(ready, durations, counts, busy0)
+        _current, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak_bytes < 4 * input_bytes, (peak_bytes, input_bytes)
+        assert np.array_equal(
+            got, _per_segment_closed_form(ready, durations, counts, busy0)
+        )

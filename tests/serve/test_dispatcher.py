@@ -5,6 +5,7 @@ Determinism is pinned by ``test_golden.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -114,6 +115,36 @@ class TestServeAndReplay:
         geometry, _ = generate_trace(small_config(duration_s=0.05))
         with pytest.raises(ConfigurationError, match="unknown solver"):
             Dispatcher(geometry, small_config(solver="simulated_annealing"))
+
+    def test_unknown_solver_request_rejected_alone(self):
+        """One request naming an unknown solver is answered ``rejected``;
+        the rest of the trace, its batch included, is served unchanged."""
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        config = small_config()
+        geometry, requests = generate_trace(config)
+        mixed = list(requests)
+        mixed[5] = dataclasses.replace(requests[5], solver="nope")
+        with Dispatcher(geometry, config) as dispatcher:
+            baseline = dispatcher.replay(requests)
+        registry = MetricsRegistry()
+        with use_registry(registry), Dispatcher(geometry, config) as dispatcher:
+            report = dispatcher.replay(mixed)
+            single = dispatcher.serve(mixed[5])
+        assert len(report.responses) == len(requests)
+        odd = report.responses[5]
+        assert odd.rejected and odd.assignment == {} and odd.solver == "nope"
+        assert single.rejected and single.assignment == {}
+        assert report.rejected == 1
+        for index, (got, want) in enumerate(zip(report.responses, baseline.responses)):
+            if index != 5:
+                assert got.identity() == want.identity()
+        family = next(
+            f for f in registry.families() if f.name == "repro_serve_rejections_total"
+        )
+        assert len(family.children) == 1
+        counter = registry.get("repro_serve_rejections_total", reason="unknown_solver")
+        assert counter.value == 1
 
 
 class TestRolloutSolver:

@@ -271,6 +271,20 @@ class TestObservabilityCli:
         assert len(lines) == 1
         assert lines[0].startswith("top: DataError: invalid timeseries JSONL line")
 
+    def test_top_reports_a_refused_endpoint_in_one_line(self, capsys):
+        import socket
+
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The port was bound and released, so nothing listens on it.
+        assert main(["top", "--endpoint", f"http://127.0.0.1:{port}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("top: URLError: ")
+
     def test_top_requires_exactly_one_source(self, tmp_path, capsys):
         assert main(["top"]) == 2
         assert main(["top", "--endpoint", "http://x", "--file", "f"]) == 2
