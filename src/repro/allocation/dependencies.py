@@ -6,10 +6,9 @@ It would be an interesting future work to extend our approach to those
 scenarios." This module provides that extension:
 
 - :class:`TaskDependencyGraph` — a DAG of precedence constraints over a
-  workload (networkx under the hood), with cycle detection, topological
-  generations, and *importance back-propagation*: a prerequisite inherits
-  the maximum importance of its dependents, since skipping it forfeits
-  them.
+  workload, with cycle detection, topological generations, and
+  *importance back-propagation*: a prerequisite inherits the maximum
+  importance of its dependents, since skipping it forfeits them.
 - :func:`dependency_aware_plan` — wraps any score vector into a plan whose
   dispatch order is a topological sort tie-broken by effective importance,
   so the simulator (with ``dependencies=``) never stalls on an unmet
@@ -18,9 +17,10 @@ scenarios." This module provides that extension:
 
 from __future__ import annotations
 
+from collections import deque
+from graphlib import TopologicalSorter
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.allocation.base import place_by_scores
@@ -34,48 +34,74 @@ class TaskDependencyGraph:
     """Precedence DAG over task ids: an edge u → v means "u before v"."""
 
     def __init__(self, task_ids: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(int(t) for t in task_ids)
+        # Insertion-ordered adjacency both ways: successors iterate in
+        # edge-insertion order, which fixes the tie-breaks of
+        # ``order_respecting`` and the order of ``violations``.
+        self._successors: dict[int, dict[int, None]] = {}
+        self._predecessors: dict[int, dict[int, None]] = {}
+        for task in task_ids:
+            self._successors.setdefault(int(task), {})
+            self._predecessors.setdefault(int(task), {})
         for before, after in edges:
             self.add_dependency(int(before), int(after))
 
     # ------------------------------------------------------------------
     @property
     def n_tasks(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._successors)
 
     @property
     def n_dependencies(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(successors) for successors in self._successors.values())
 
     def add_dependency(self, before: int, after: int) -> None:
         """Require ``before`` to complete prior to ``after`` starting."""
-        if before not in self._graph or after not in self._graph:
+        if before not in self._successors or after not in self._successors:
             raise DataError(f"unknown task in dependency ({before} -> {after})")
         if before == after:
             raise ConfigurationError(f"task {before} cannot depend on itself")
-        self._graph.add_edge(before, after)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(before, after)
+        if after in self.ancestors_of(before):
             raise ConfigurationError(
                 f"dependency {before} -> {after} would create a cycle"
             )
+        self._successors[before][after] = None
+        self._predecessors[after][before] = None
 
     def prerequisites_of(self, task_id: int) -> set[int]:
         """Direct prerequisites of a task."""
-        return set(self._graph.predecessors(task_id))
+        return set(self._adjacent(self._predecessors, task_id))
 
     def dependents_of(self, task_id: int) -> set[int]:
         """Direct dependents of a task."""
-        return set(self._graph.successors(task_id))
+        return set(self._adjacent(self._successors, task_id))
 
     def ancestors_of(self, task_id: int) -> set[int]:
         """All transitive prerequisites."""
-        return set(nx.ancestors(self._graph, task_id))
+        ancestors: set[int] = set()
+        frontier = deque(self._adjacent(self._predecessors, task_id))
+        while frontier:
+            task = frontier.popleft()
+            if task not in ancestors:
+                ancestors.add(task)
+                frontier.extend(self._predecessors[task])
+        return ancestors
 
     def generations(self) -> list[list[int]]:
         """Topological generations (tasks in one generation are independent)."""
-        return [sorted(generation) for generation in nx.topological_generations(self._graph)]
+        sorter = TopologicalSorter(self._predecessors)
+        sorter.prepare()
+        generations = []
+        while sorter.is_active():
+            ready = sorter.get_ready()
+            generations.append(sorted(ready))
+            sorter.done(*ready)
+        return generations
+
+    @staticmethod
+    def _adjacent(adjacency: dict[int, dict[int, None]], task_id: int) -> dict[int, None]:
+        if task_id not in adjacency:
+            raise DataError(f"The node {task_id} is not in the digraph.")
+        return adjacency[task_id]
 
     # ------------------------------------------------------------------
     def effective_importance(self, importance: np.ndarray) -> np.ndarray:
@@ -92,10 +118,10 @@ class TaskDependencyGraph:
             raise DataError(
                 f"importance has {importance.size} entries for {self.n_tasks} tasks"
             )
-        index = {task: i for i, task in enumerate(sorted(self._graph.nodes))}
+        index = {task: i for i, task in enumerate(sorted(self._successors))}
         effective = importance.copy()
-        for task in reversed(list(nx.topological_sort(self._graph))):
-            for prerequisite in self._graph.predecessors(task):
+        for task in reversed(list(TopologicalSorter(self._predecessors).static_order())):
+            for prerequisite in self._predecessors[task]:
                 i, j = index[prerequisite], index[task]
                 effective[i] = max(effective[i], effective[j])
         return effective
@@ -107,15 +133,15 @@ class TaskDependencyGraph:
             raise DataError(
                 f"priorities has {priorities.size} entries for {self.n_tasks} tasks"
             )
-        index = {task: i for i, task in enumerate(sorted(self._graph.nodes))}
-        in_degree = {task: self._graph.in_degree(task) for task in self._graph.nodes}
+        index = {task: i for i, task in enumerate(sorted(self._successors))}
+        in_degree = {task: len(prerequisites) for task, prerequisites in self._predecessors.items()}
         ready = [task for task, degree in in_degree.items() if degree == 0]
         order: list[int] = []
         while ready:
             ready.sort(key=lambda task: -priorities[index[task]])
             task = ready.pop(0)
             order.append(task)
-            for dependent in self._graph.successors(task):
+            for dependent in self._successors[task]:
                 in_degree[dependent] -= 1
                 if in_degree[dependent] == 0:
                     ready.append(dependent)
@@ -127,11 +153,12 @@ class TaskDependencyGraph:
         """(prerequisite, dependent) pairs violated by a completion order."""
         position = {task: i for i, task in enumerate(completion_order)}
         out = []
-        for before, after in self._graph.edges:
-            if before in position and after in position and position[before] > position[after]:
-                out.append((before, after))
-            if after in position and before not in position:
-                out.append((before, after))
+        for before, dependents in self._successors.items():
+            for after in dependents:
+                if before in position and after in position and position[before] > position[after]:
+                    out.append((before, after))
+                if after in position and before not in position:
+                    out.append((before, after))
         return out
 
 

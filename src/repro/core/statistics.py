@@ -9,14 +9,101 @@ point), the form a credible evaluation section reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.core.experiment import SweepResult
 from repro.errors import ConfigurationError, DataError
 from repro.utils.reporting import format_table
+
+
+#: Working precision (significant digits) of the Student-t tail.
+_DIGITS = 40
+_HALF = Decimal("0.5")
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def student_t_ppf(p: float, df: int) -> float:
+    """Quantile of Student's t distribution with ``df`` degrees of freedom.
+
+    Bisection over doubles on the tail ``P(T > t) = I_x(df/2, 1/2) / 2``,
+    ``x = df / (df + t^2)``, with the regularized incomplete beta ``I``
+    by continued fraction. The tail is evaluated in 40-digit decimal
+    arithmetic and the last step rounds to the nearer double, so the
+    result is the correctly rounded quantile: a tail evaluated in double
+    precision is a few ulps off, enough to move the last bit of ``t``.
+    """
+    if not 0.0 < p < 1.0:
+        raise ConfigurationError(f"p must be in (0, 1), got {p}")
+    if not isinstance(df, Integral) or df < 1:
+        raise ConfigurationError(f"df must be a positive integer, got {df}")
+    if p == 0.5:
+        return 0.0
+    df = int(df)
+    with localcontext() as context:
+        context.prec = _DIGITS
+        target = 1 - Decimal(p) if p > 0.5 else Decimal(p)
+        scale = _inverse_beta_half(df)
+        lo, hi = 0.0, 1.0
+        while _t_tail(Decimal(hi), df, scale) > target:
+            lo, hi = hi, 2.0 * hi
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if _t_tail(Decimal(mid), df, scale) > target:
+                lo = mid
+            else:
+                hi = mid
+        midpoint = (Decimal(lo) + Decimal(hi)) / 2
+        t = hi if _t_tail(midpoint, df, scale) > target else lo
+    return t if p > 0.5 else -t
+
+
+def _inverse_beta_half(df: int) -> Decimal:
+    """``1 / B(df/2, 1/2) = Γ(a + 1/2) / (Γ(a) √π)`` by its recurrence in ``a``."""
+    ratio, a = (1 / _PI, _HALF) if df % 2 else (_HALF, Decimal(1))
+    for _ in range((df - 1) // 2):
+        ratio *= (a + _HALF) / a
+        a += 1
+    return ratio
+
+
+def _t_tail(t: Decimal, df: int, scale: Decimal) -> Decimal:
+    """``P(T > t)`` for ``t >= 0``; ``scale`` is ``1 / B(df/2, 1/2)``."""
+    t2 = t * t
+    x = df / (df + t2)
+    y = t2 / (df + t2)
+    a = Decimal(df) / 2
+    front = scale * x ** (df // 2) * y.sqrt()  # x^a y^(1/2) / B(a, 1/2)
+    if df % 2:
+        front *= x.sqrt()
+    if x < (a + 1) / (a + Decimal("2.5")):
+        return front * _beta_continued_fraction(a, _HALF, x) / (2 * a)
+    # I_x(a, b) = 1 - I_y(b, a), where the fraction converges fast.
+    return _HALF - front * _beta_continued_fraction(_HALF, a, y)
+
+
+def _beta_continued_fraction(a: Decimal, b: Decimal, x: Decimal) -> Decimal:
+    """Continued fraction of ``I_x(a, b)`` for ``x < (a + 1) / (a + b + 2)``.
+
+    Modified Lentz, as Numerical Recipes' ``betacf``; in that range no
+    partial denominator vanishes, so it needs no guard against zero.
+    """
+    tolerance = Decimal(10) ** (4 - _DIGITS)
+    c, d = Decimal(1), 1 / (1 - (a + b) * x / (a + 1))
+    h = d
+    m = 0
+    while True:
+        m += 1
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for term in (even, odd):
+            d = 1 / (1 + term * d)
+            c = 1 + term / c
+            h *= d * c
+        if abs(d * c - 1) < tolerance:
+            return h
 
 
 @dataclass(frozen=True)
@@ -84,10 +171,7 @@ def aggregate_sweeps(
     mean: dict[str, np.ndarray] = {}
     std: dict[str, np.ndarray] = {}
     half: dict[str, np.ndarray] = {}
-    if n > 1:
-        t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
-    else:
-        t_value = 0.0
+    t_value = student_t_ppf(0.5 + confidence / 2.0, n - 1) if n > 1 else 0.0
     for method in first.times:
         stacked = np.vstack([np.asarray(r.times[method]) for r in results])
         mean[method] = stacked.mean(axis=0)

@@ -43,6 +43,11 @@ class TestGraph:
         with pytest.raises(DataError):
             graph.add_dependency(0, 99)
 
+    @pytest.mark.parametrize("query", ["prerequisites_of", "dependents_of", "ancestors_of"])
+    def test_unknown_task_query_rejected(self, graph, query):
+        with pytest.raises(DataError, match="The node 99 is not in the digraph"):
+            getattr(graph, query)(99)
+
     def test_relations(self, graph):
         assert graph.prerequisites_of(1) == {0}
         assert graph.dependents_of(0) == {1}

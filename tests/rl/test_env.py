@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rl.env import AllocationEnv
@@ -124,3 +125,64 @@ class TestFeasibility:
             env.step(int(rng.choice(env.feasible_actions())))
         allocation = env.allocation()
         assert allocation.objective(tiny_problem) == pytest.approx(env.total_importance())
+
+
+class TestAgainstBruteForce:
+    """The MDP against an oracle that recomputes budgets from scratch each step."""
+
+    #: Same feasibility slack as the environment and the solvers.
+    TOL = 1e-12
+
+    @given(
+        n_tasks=st.integers(1, 7),
+        n_processors=st.integers(1, 3),
+        tightness=st.floats(0.1, 1.0),
+        correlation=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_rollout_matches_oracle(
+        self, n_tasks, n_processors, tightness, correlation, seed
+    ):
+        problem = random_instance(
+            n_tasks, n_processors, tightness=tightness, correlation=correlation, seed=seed
+        )
+        limits = problem.processor_time_limits()
+        env = AllocationEnv(problem)
+        env.reset()
+        rng = np.random.default_rng(seed)
+        assigned: dict[int, int] = {}
+        current = 0
+        rewards = []
+        while not env.done:
+            on_current = [task for task, proc in assigned.items() if proc == current]
+            time_left = limits[current] - problem.times[on_current].sum()
+            capacity_left = problem.capacities[current] - problem.resources[on_current].sum()
+            fits = [
+                task
+                for task in range(n_tasks)
+                if task not in assigned
+                and problem.times[task] <= time_left + self.TOL
+                and problem.resources[task] <= capacity_left + self.TOL
+            ]
+            feasible = env.feasible_actions()
+            assert list(feasible) == fits + [env.close_action]
+            for task in fits:
+                # No masked-legal action overflows a budget.
+                assert problem.times[on_current + [task]].sum() <= limits[current] + 1e-9
+                assert (
+                    problem.resources[on_current + [task]].sum()
+                    <= problem.capacities[current] + 1e-9
+                )
+            action = int(rng.choice(feasible))
+            _, reward, _, _ = env.step(action)
+            rewards.append(reward)
+            if action == env.close_action:
+                current += 1
+            else:
+                assigned[action] = current
+        assert current == n_processors
+        assert all(reward == 0.0 for reward in rewards[:-1])
+        # The terminal reward is the TATIM objective: Σ I_j over allocated tasks.
+        assert rewards[-1] == float(problem.importance[sorted(assigned)].sum())
+        assert env.allocation().is_feasible(problem)

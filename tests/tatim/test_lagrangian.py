@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.tatim.exact import branch_and_bound
@@ -16,12 +17,24 @@ class TestLagrangianBound:
         with pytest.raises(ConfigurationError):
             lagrangian_bound(problem, step_scale=0.0)
 
-    def test_bound_is_valid_upper_bound(self):
-        for seed in range(6):
-            problem = random_instance(12, 2, seed=seed)
-            result = lagrangian_bound(problem, iterations=30)
-            optimal = branch_and_bound(problem).objective(problem)
-            assert result.upper_bound >= optimal - 1e-6, seed
+    @given(
+        n_tasks=st.integers(1, 12),
+        n_processors=st.integers(1, 3),
+        correlation=st.floats(0.0, 1.0),
+        tightness=st.floats(0.1, 1.0),
+        iterations=st.integers(1, 30),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bound_is_valid_upper_bound(
+        self, n_tasks, n_processors, correlation, tightness, iterations, seed
+    ):
+        problem = random_instance(
+            n_tasks, n_processors, correlation=correlation, tightness=tightness, seed=seed
+        )
+        result = lagrangian_bound(problem, iterations=iterations)
+        optimal = branch_and_bound(problem).objective(problem)
+        assert result.upper_bound >= optimal - 1e-6
 
     def test_bound_at_most_fractional_bound(self):
         for seed in range(4):

@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +141,22 @@ class TestVersioning:
             obj = getattr(repro, name)
             if inspect.isclass(obj) and issubclass(obj, Exception) and obj is not ReproError:
                 assert issubclass(obj, ReproError), name
+
+
+def test_runtime_imports_only_numpy():
+    """A fresh interpreter importing every package (and the CLI) loads no scipy or networkx."""
+    code = "".join(f"import {name}\n" for name in [*PACKAGES, "repro.cli"]) + (
+        "import sys\n"
+        "print(' '.join(m for m in sorted(sys.modules)"
+        " if m.split('.')[0] in ('scipy', 'networkx')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []
