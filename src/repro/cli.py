@@ -23,9 +23,9 @@ p50/p95/p99 latency + throughput (see ``docs/serving.md``). The serve
 flags mirror ``repro.serve.ServeConfig`` field names and their defaults
 are shown in ``--help``.
 
-Experiment subcommands accept ``--jobs N`` (parallel per-cluster CRL
-training and per-point Fig. 9 sweeps) and ``--no-cache`` (disable the
-allocation cache); see ``docs/performance.md``.
+Experiment subcommands accept ``--no-cache`` (disable the allocation
+cache); ``fig9`` also takes ``--jobs N``, the worker processes its
+sweep points fan out over. See ``docs/performance.md``.
 
 Every experiment subcommand also accepts the telemetry flags::
 
@@ -92,19 +92,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--history", type=int, default=32, help="history epochs")
     parser.add_argument("--eval-epochs", type=int, default=4, dest="eval_epochs")
     parser.add_argument("--seed", type=int, default=0)
-    _add_performance_arguments(parser)
-
-
-def _add_performance_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("performance")
-    group.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for per-cluster CRL training and per-point "
-        "Fig. 9 sweeps (1 = serial)",
-    )
-    _add_cache_argument(group)
+    _add_cache_argument(parser.add_argument_group("performance"))
 
 
 def _add_cache_argument(group) -> None:
@@ -443,7 +431,6 @@ def _command_pipeline(args: argparse.Namespace) -> int:
                 n_days=args.days, n_buildings=args.n_buildings, seed=args.seed
             ),
             crl_episodes=args.episodes,
-            jobs=getattr(args, "jobs", 1),
             seed=args.seed,
         )
     ).build()
@@ -564,7 +551,6 @@ def _command_edgesim(args: argparse.Namespace) -> int:
                 config,
                 shards=args.shards,
                 groups=args.shard_groups,
-                force=args.shards > 1,
             )
             wall = _time.perf_counter() - wall0
             result = run.result
@@ -755,6 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig9 = commands.add_parser("fig9", help="PT vs number of processors")
     _add_scenario_arguments(fig9)
+    fig9.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes the sweep points fan out over (1 = in-process)",
+    )
     fig9.add_argument("--processors", type=int, nargs="+", default=[2, 4, 6, 8, 10])
     _add_telemetry_arguments(fig9)
     fig9.set_defaults(handler=_command_fig9)
@@ -792,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--n-buildings", type=int, default=3, dest="n_buildings")
     pipeline.add_argument("--episodes", type=int, default=30)
     pipeline.add_argument("--seed", type=int, default=0)
-    _add_performance_arguments(pipeline)
+    _add_cache_argument(pipeline.add_argument_group("performance"))
     _add_telemetry_arguments(pipeline)
     pipeline.set_defaults(handler=_command_pipeline)
 
@@ -800,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run tracked perf benchmarks and update BENCH_perf.json"
     )
     bench.add_argument(
-        "--jobs", type=int, default=4, help="worker processes for the parallel-train bench"
+        "--jobs", type=int, default=4, help="worker processes the pool warms before the benches"
     )
     bench.add_argument("--rounds", type=int, default=3, help="minimum timing rounds per bench")
     bench.add_argument(

@@ -306,20 +306,17 @@ class Run:
 class Bench:
     """One registry entry.
 
-    ``names``: the keys it writes (``{jobs}`` is filled from ``--jobs``).
-    ``setup(jobs)``: a context manager yielding ``{variant: callable}``.
+    ``names``: the keys it writes.
+    ``setup()``: a context manager yielding ``{variant: callable}``.
     ``check(runs)``: raises :class:`AssertionError` on a wrong result.
     ``extras(runs)``: ``{name: {key: value}}`` merged into the entries.
     """
 
     names: tuple[str, ...]
-    setup: Callable[[int], ContextManager[dict[str, Callable[[], object]]]]
+    setup: Callable[[], ContextManager[dict[str, Callable[[], object]]]]
     check: Callable[[dict[str, Run]], None]
     extras: Callable[[dict[str, Run]], dict[str, dict]] = lambda runs: {}
     memory: bool = False
-
-    def entry_names(self, jobs: int) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(name.format(jobs=jobs) for name in self.names))
 
 
 def time_variants(variants: dict, rounds: int, written=()) -> dict[str, Run]:
@@ -360,25 +357,26 @@ def run_bench(
 ) -> tuple[dict, list[str]]:
     """Run every registry entry; returns (results, human-readable notes).
 
-    The worker pool is warmed once up front so parallel benches measure
-    steady-state dispatch, not spin-up; it is shut down (and its shared
-    segments released) before returning.
+    ``jobs`` worker processes are warmed once up front so the fanned-out
+    (sharded fleet) benches measure steady-state dispatch, not spin-up;
+    the pool is shut down (and its shared segments released) before
+    returning.
     """
     commit = bench_commit()
     rounds = max(1, rounds)
     results: dict = {}
-    notes = [f"machine: {os.cpu_count() or 1} cpu(s); pool degrades to serial on 1"]
+    notes = [f"machine: {os.cpu_count() or 1} cpu(s)"]
     # Count solver/rollout invocations in the ambient registry when
     # telemetry is on (so cache hit-rate metrics reach the CLI exports),
     # else in a private one.
     registry = get_registry() if telemetry_enabled() else MetricsRegistry()
     try:
         with use_registry(registry):
-            if jobs > 1 and (os.cpu_count() or 1) > 1:
-                get_worker_pool().executor(min(jobs, os.cpu_count() or 1))
+            if jobs > 1:
+                get_worker_pool().executor(jobs)
             for bench in BENCHES:
-                names = bench.entry_names(jobs)
-                with bench.setup(jobs) as variants:
+                names = bench.names
+                with bench.setup() as variants:
                     runs = time_variants(variants, rounds, names)
                     bench.check(runs)
                     extras = bench.extras(runs)
@@ -441,7 +439,7 @@ DATASET_DAYS = 20
 
 
 @contextlib.contextmanager
-def _dataset_setup(jobs):
+def _dataset_setup():
     config = BuildingOperationConfig(n_days=DATASET_DAYS, n_buildings=2, seed=7)
     yield {"building_dataset_generate": lambda: BuildingOperationDataset(config).generate()}
 
@@ -453,7 +451,7 @@ def _dataset_check(runs):
 
 
 @contextlib.contextmanager
-def _system_setup(jobs):
+def _system_setup():
     config = DCTASystemConfig(
         building=BuildingOperationConfig(n_days=12, n_buildings=2, seed=0),
         crl_episodes=4,
@@ -469,63 +467,32 @@ CRL_CLUSTERS = 4
 
 
 @contextlib.contextmanager
-def _forced_pool():
-    """Fan out even where the pool's cost model would decline (scoped)."""
-    previous = os.environ.get("REPRO_POOL_FORCE_PARALLEL")
-    os.environ["REPRO_POOL_FORCE_PARALLEL"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("REPRO_POOL_FORCE_PARALLEL")
-        if previous is not None:
-            os.environ["REPRO_POOL_FORCE_PARALLEL"] = previous
-
-
-@contextlib.contextmanager
-def _crl_setup(jobs):
-    """4-cluster CRL fit at jobs=1 (in-process, stacked) and at jobs=N with
-    the pool forced, so the jobs=N entry measures the fan-out it is named
-    for. A variant returns a thunk for its eval-epoch plans and the
-    pool's worker count."""
+def _crl_setup():
+    """4-cluster CRL fit, trained in-process in one lockstep pass. The
+    variant returns a thunk for its eval-epoch plans and the worker-pool
+    spin-ups the fit caused (it must cause none)."""
     scenario = _train_scenario()
     nodes, _ = scaled_testbed(6)
     epochs = [(scenario.workload_for(epoch), _context(epoch)) for epoch in scenario.eval_epochs]
 
-    def train(n_jobs):
+    def train():
+        spinups = get_worker_pool().spinups
         crl = build_allocators(
-            scenario, nodes, crl_episodes=30, crl_clusters=CRL_CLUSTERS, jobs=n_jobs, seed=0
+            scenario, nodes, crl_episodes=30, crl_clusters=CRL_CLUSTERS, seed=0
         )["CRL"]
 
         def plans():
             return [crl.plan(workload, nodes, context).assignments for workload, context in epochs]
 
-        return plans, get_worker_pool().size
+        return plans, get_worker_pool().spinups - spinups
 
-    def train_forced():
-        with _forced_pool():
-            return train(jobs)
-
-    variants = {"crl_train_4cluster_jobs1": lambda: train(1)}
-    if jobs > 1:
-        get_worker_pool().executor(min(jobs, CRL_CLUSTERS))
-        variants[f"crl_train_4cluster_jobs{jobs}"] = train_forced
-    yield variants
+    yield {"crl_train_4cluster_jobs1": train}
 
 
 def _crl_check(runs):
-    serial = runs["crl_train_4cluster_jobs1"]
-    serial_plans = serial.last[0]()
-    _require(len(serial_plans) > 0, "CRL produced no eval-epoch plans")
-    for name, run in runs.items():
-        if run is serial:
-            continue
-        plans, workers = run.last
-        _require(plans() == serial_plans, f"{name} plans differ from jobs=1")
-        # Only gate a speedup where one is physically possible.
-        if workers >= 4 and (os.cpu_count() or 1) >= 4:
-            speedup = serial.mean_s / max(run.mean_s, 1e-9)
-            _require(speedup > 1.0, f"{name} {run.mean_s:.2f}s vs jobs=1 {serial.mean_s:.2f}s")
-            _require(speedup >= 2.0, f"{name} speedup {speedup:.2f}x < 2x")
+    plans, spinups = runs["crl_train_4cluster_jobs1"].last
+    _require(len(plans()) > 0, "CRL produced no eval-epoch plans")
+    _require(spinups == 0, f"the CRL fit started {spinups} worker pool(s)")
 
 
 def _crl_params_sha(agents) -> str:
@@ -540,10 +507,10 @@ def _crl_params_sha(agents) -> str:
 
 
 @contextlib.contextmanager
-def _stacked_setup(jobs):
+def _stacked_setup():
     """Lockstep-stacked vs per-agent training of one four-task list: the
-    stacked path is what a CRL fit runs whenever the pool declines to fan
-    out, so it is the number ``crl_train_4cluster_jobs1`` rides on."""
+    stacked path is what every CRL fit runs, so it is the number
+    ``crl_train_4cluster_jobs1`` rides on."""
     scenario = _train_scenario()
     nodes, _ = scaled_testbed(6)
     geometry = tatim_from_workload(scenario.tasks, nodes)
@@ -570,7 +537,7 @@ _KERNEL_DQN = DQNConfig(hidden_sizes=(128, 64), batch_size=32, warmup_transition
 
 
 @contextlib.contextmanager
-def _rollout_setup(jobs):
+def _rollout_setup():
     """32 greedy rollouts sharing the agent's geometry with per-instance
     importance vectors (the dispatcher's miss-group shape)."""
     base = random_instance(24, 3, seed=11)
@@ -587,7 +554,7 @@ def _rollout_setup(jobs):
 
 
 @contextlib.contextmanager
-def _dqn_setup(jobs):
+def _dqn_setup():
     """Single-process DQN kernel hot paths. The replay buffer is filled
     past warmup first, so every timed gradient step trains."""
     env = AllocationEnv(random_instance(24, 3, seed=11))
@@ -641,7 +608,7 @@ IMPORTANCE_DAYS = 8
 
 
 @contextlib.contextmanager
-def _importance_setup(jobs):
+def _importance_setup():
     """Leave-one-out and Shapley evaluators, built inside each timed call
     so the cross-call coalition caches never leak warmth between rounds."""
     dataset = BuildingOperationDataset(
@@ -671,7 +638,7 @@ def _importance_check(runs):
 
 
 @contextlib.contextmanager
-def _epoch_setup(jobs):
+def _epoch_setup():
     """One DCTA-planned epoch, clean and with a third of the nodes failing
     mid-run (the controller's re-dispatch path)."""
     scenario, nodes, network, allocators = _small_allocators()
@@ -735,20 +702,20 @@ def _fleet_extras(run: Run, result) -> dict:
 
 
 @contextlib.contextmanager
-def _fleet_setup(jobs):
+def _fleet_setup():
     fleet_10k = FleetSimulator(_fleet_config(10_000, 5.0))
     fleet_100k = FleetSimulator(_fleet_config(100_000, 5.0))
     yield {"edgesim_fleet_10k": fleet_10k.run, "edgesim_fleet_100k": fleet_100k.run}
 
 
 @contextlib.contextmanager
-def _sharded_setup(jobs):
+def _sharded_setup():
     """Region-sharded fleet runs at 100k and 1M nodes.
 
     References: ``shards=1`` and ``shards=N`` digests of a 20k-node run
-    with worker processes forced (so the identity covers the real
-    multiprocess path even where the pool would decline) and, on >= 4
-    cores, a ``shards=1`` run of the 100k config for the speedup gate.
+    (``@forced``: ``shards=N`` always runs in worker processes, so the
+    identity covers the real multiprocess path) and, on >= 4 cores, a
+    ``shards=1`` run of the 100k config for the speedup gate.
     """
     shards = max(2, min(os.cpu_count() or 1, 8))
     identity = _fleet_config(20_000, 3.0)
@@ -761,7 +728,7 @@ def _sharded_setup(jobs):
             run_fleet_sharded(identity, shards=1).result
         ),
         "edgesim_fleet_sharded@forced": lambda: result_digest(
-            run_fleet_sharded(identity, shards=shards, force=True).result
+            run_fleet_sharded(identity, shards=shards).result
         ),
     }
     if (os.cpu_count() or 1) >= 4:
@@ -812,7 +779,7 @@ PLAN_QUERIES = 10
 
 
 @contextlib.contextmanager
-def _plan_cache_setup(jobs):
+def _plan_cache_setup():
     """Uncached, cold-cache and warm-cache planning of 10 repeat queries
     whose sensing jitter is below the cache's quantization (the drift
     regime where consecutive epochs quantize to one environment).
@@ -885,7 +852,7 @@ def _serve_extras(runs) -> dict:
 
 
 @contextlib.contextmanager
-def _serve_setup(jobs):
+def _serve_setup():
     """``serve_replay_cold`` / ``serve_replay_warm`` drain the trace
     unpaced (fresh vs primed cache): their ``mean_s`` is service capacity.
     ``serve_sustained_load_warm`` paces against the wall clock, so its
@@ -913,7 +880,7 @@ SATURATION_QUEUE_DEPTH = 16
 
 
 @contextlib.contextmanager
-def _saturation_setup(jobs):
+def _saturation_setup():
     """A solver slow enough that the offered rate is far beyond capacity,
     a queue too small to absorb it, and no cache to hide behind."""
 
@@ -960,16 +927,7 @@ BENCHES: tuple[Bench, ...] = (
             "the built system lacks one of the RM/DML/CRL/DCTA allocators",
         ),
     ),
-    Bench(
-        ("crl_train_4cluster_jobs1", "crl_train_4cluster_jobs{jobs}"),
-        _crl_setup,
-        _crl_check,
-        lambda runs: {
-            name: {"workers": run.last[1]}
-            for name, run in runs.items()
-            if name != "crl_train_4cluster_jobs1"
-        },
-    ),
+    Bench(("crl_train_4cluster_jobs1",), _crl_setup, _crl_check),
     Bench(
         ("crl_train_stacked", "crl_train_unstacked"),
         _stacked_setup,

@@ -58,7 +58,9 @@ class DCTASystemConfig:
     weights: tuple[float, float] = (0.5, 0.5)
     quality_threshold: float = 0.9
     mean_input_mb: float = 500.0
-    #: Worker processes for per-cluster CRL training (1 = serial).
+    #: Ignored: the build never fans out (CRL trains its per-cluster
+    #: agents in-process). Kept so existing ``jobs=N`` callers still
+    #: construct; it will be removed.
     jobs: int = 1
     seed: int = 0
 
@@ -145,7 +147,6 @@ class DCTASystem:
             n_clusters=config.crl_clusters,
             episodes=config.crl_episodes,
             dqn_config=DQNConfig(hidden_sizes=config.dqn_hidden),
-            jobs=config.jobs,
             seed=config.seed,
         )
         crl_model.fit(store)

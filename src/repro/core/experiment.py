@@ -126,14 +126,12 @@ def build_allocators(
     dqn_hidden: tuple[int, ...] = (64, 32),
     weights: tuple[float, float] = (0.5, 0.5),
     include_oracle: bool = False,
-    jobs: int = 1,
     seed: int = 0,
 ) -> dict[str, Allocator]:
     """Train and assemble the RM / DML / CRL / DCTA policy set.
 
     The CRL geometry is bound to ``nodes``; rebuild when the node set
-    changes (the Fig. 9 sweep does this per point). ``jobs > 1`` fans
-    per-cluster CRL training out over worker processes.
+    changes (the Fig. 9 sweep does this per point).
     """
     geometry = tatim_from_workload(scenario.tasks, nodes)
     crl_model = CRLModel(
@@ -141,7 +139,6 @@ def build_allocators(
         n_clusters=crl_clusters,
         episodes=crl_episodes,
         dqn_config=DQNConfig(hidden_sizes=dqn_hidden),
-        jobs=jobs,
         seed=seed,
     )
     crl_model.fit(scenario.environment_store())
@@ -164,21 +161,15 @@ def build_allocators(
     return allocators
 
 
-#: Rough serial cost of one Fig. 9 sweep point (allocator rebuild + eval
-#: epochs on the reference bench machine); feeds the pool's fan-out decision.
-EST_SWEEP_POINT_S = 0.4
-
-
 @dataclass(frozen=True)
 class _ProcessorPoint:
     """Picklable payload: one Fig. 9 sweep point (allocator rebuild + eval).
 
-    ``scenario`` is usually a :class:`~repro.parallel.shm.SharedBlobRef`
-    so the scenario (environment store included) is pickled once into
-    shared memory rather than once per point.
+    The scenario travels by pickle, once per point: ~157 kB and ~1.5 ms
+    per round trip for the 50-task ``fig9`` scenario.
     """
 
-    scenario: object
+    scenario: SyntheticScenario
     count: int
     quality_threshold: float
     crl_episodes: int
@@ -186,29 +177,16 @@ class _ProcessorPoint:
 
 
 def _run_processor_point(point: _ProcessorPoint) -> dict:
-    """Rebuild allocators for ``count`` processors and evaluate (worker fn).
-
-    Allocators are built with ``jobs=1`` — the point itself is the unit of
-    parallelism, and the pool's fork-guard would serialise any nested
-    fan-out anyway.
-    """
-    from repro.parallel import resolve_shared
-
-    scenario = resolve_shared(point.scenario)
+    """Rebuild allocators for ``count`` processors and evaluate (worker fn)."""
     experiment = PTExperiment(
-        scenario,
+        point.scenario,
         quality_threshold=point.quality_threshold,
         crl_episodes=point.crl_episodes,
-        jobs=1,
         seed=point.seed,
     )
     nodes, network = scaled_testbed(point.count)
     allocators = build_allocators(
-        scenario,
-        nodes,
-        crl_episodes=point.crl_episodes,
-        jobs=1,
-        seed=point.seed,
+        point.scenario, nodes, crl_episodes=point.crl_episodes, seed=point.seed
     )
     means = experiment._run_point(nodes, network, allocators)
     return {
@@ -219,7 +197,12 @@ def _run_processor_point(point: _ProcessorPoint) -> dict:
 
 
 class PTExperiment:
-    """Sweeps processing time across the paper's three figure axes."""
+    """Sweeps processing time across the paper's three figure axes.
+
+    ``jobs`` is the worker count for the :meth:`sweep_processors` points.
+    The Fig. 10 and Fig. 11 sweeps share one policy set across their
+    points and always run in-process.
+    """
 
     def __init__(
         self,
@@ -329,70 +312,36 @@ class PTExperiment:
         """Fig. 9: PT vs number of processors.
 
         This is the one sweep that rebuilds the whole policy set per point
-        (CRL geometry is bound to the node set), so with ``jobs > 1`` the
-        points themselves fan out over the worker pool: the scenario is
-        published to shared memory once, each worker rebuilds and
-        evaluates its point with ``jobs=1`` internally, and columns are
-        reassembled in point order. CRL training and the simulator are
-        seed-deterministic, so PT columns are identical for any ``jobs``.
+        (CRL geometry is bound to the node set), so the points themselves
+        are the unit of fan-out: each is one :class:`ParallelTrainer`
+        payload run over ``jobs`` workers (in-process at ``jobs=1``), and
+        columns are reassembled in point order. CRL training and the
+        simulator are seed-deterministic, so PT columns are identical for
+        any ``jobs``.
         """
+        from repro.parallel import ParallelTrainer
+
         times: dict[str, list[float]] = {}
         plan_seconds: dict[str, list[float]] = {}
         solve_counts: dict[str, list[int]] = {}
-        jobs = self.jobs
-        if jobs > 1 and len(processor_counts) > 1:
-            # Skip the share/shard machinery when the pool would degrade
-            # the run to serial anyway (single core, small sweeps).
-            from repro.parallel import get_worker_pool
-
-            jobs = get_worker_pool().effective_jobs(
-                jobs,
-                len(processor_counts),
-                estimated_cost_s=EST_SWEEP_POINT_S * len(processor_counts),
+        points = [
+            _ProcessorPoint(
+                scenario=self.scenario,
+                count=int(count),
+                quality_threshold=self.quality_threshold,
+                crl_episodes=self.crl_episodes,
+                seed=self.seed,
             )
-        with span("core.sweep", axis="processors", points=len(processor_counts)):
-            if jobs > 1 and len(processor_counts) > 1:
-                from repro.parallel import ParallelTrainer, get_shared_store
-
-                shared = get_shared_store()
-                key = f"sweep.scenario:{id(self.scenario)}"
-                scenario_ref = shared.share(key, self.scenario)
-                points = [
-                    _ProcessorPoint(
-                        scenario=scenario_ref,
-                        count=int(count),
-                        quality_threshold=self.quality_threshold,
-                        crl_episodes=self.crl_episodes,
-                        seed=self.seed,
-                    )
-                    for count in processor_counts
-                ]
-                trainer = ParallelTrainer(
-                    _run_processor_point,
-                    jobs=jobs,
-                    label="sweep.processors",
-                    estimated_cost_s=EST_SWEEP_POINT_S * len(points),
-                )
-                try:
-                    results = trainer.map(points)
-                finally:
-                    shared.release(key)
-                for result in results:
-                    self._last_plan_seconds = result["plan_seconds"]
-                    self._last_solve_counts = result["solve_counts"]
-                    self._append_point(result["means"], times, plan_seconds, solve_counts)
-            else:
-                for count in processor_counts:
-                    nodes, network = scaled_testbed(count)
-                    allocators = build_allocators(
-                        self.scenario,
-                        nodes,
-                        crl_episodes=self.crl_episodes,
-                        jobs=self.jobs,
-                        seed=self.seed,
-                    )
-                    point = self._run_point(nodes, network, allocators)
-                    self._append_point(point, times, plan_seconds, solve_counts)
+            for count in processor_counts
+        ]
+        with span("core.sweep", axis="processors", points=len(points)):
+            trainer = ParallelTrainer(
+                _run_processor_point, jobs=self.jobs, label="sweep.processors"
+            )
+            for result in trainer.map(points):
+                self._last_plan_seconds = result["plan_seconds"]
+                self._last_solve_counts = result["solve_counts"]
+                self._append_point(result["means"], times, plan_seconds, solve_counts)
         return SweepResult(
             "processors",
             tuple(processor_counts),
@@ -410,7 +359,7 @@ class PTExperiment:
         """Fig. 10: PT vs average input data size (Mb)."""
         nodes, network = scaled_testbed(n_processors)
         allocators = build_allocators(
-            self.scenario, nodes, crl_episodes=self.crl_episodes, jobs=self.jobs, seed=self.seed
+            self.scenario, nodes, crl_episodes=self.crl_episodes, seed=self.seed
         )
         base_mean = float(np.mean([task.input_mb for task in self.scenario.tasks]))
         times: dict[str, list[float]] = {}
@@ -442,7 +391,7 @@ class PTExperiment:
         """Fig. 11: PT vs network bandwidth (Mbps)."""
         nodes, _ = scaled_testbed(n_processors)
         allocators = build_allocators(
-            self.scenario, nodes, crl_episodes=self.crl_episodes, jobs=self.jobs, seed=self.seed
+            self.scenario, nodes, crl_episodes=self.crl_episodes, seed=self.seed
         )
         times: dict[str, list[float]] = {}
         plan_seconds: dict[str, list[float]] = {}
@@ -464,7 +413,7 @@ class PTExperiment:
 # ----------------------------------------------------------------------
 # Multi-seed fan-out: Fig. 9-style sweeps repeated across scenario seeds
 # are embarrassingly parallel (one independent scenario + policy set per
-# seed), so they ride the same ParallelTrainer as per-cluster CRL fits.
+# seed), so they ride the same ParallelTrainer as the Fig. 9 points.
 
 
 @dataclass(frozen=True)
@@ -535,10 +484,4 @@ def run_multiseed(
         )
         for seed in seeds
     ]
-    trainer = ParallelTrainer(
-        run_sweep_spec,
-        jobs=jobs,
-        label="multiseed",
-        estimated_cost_s=EST_SWEEP_POINT_S * len(points) * len(specs),
-    )
-    return trainer.map(specs)
+    return ParallelTrainer(run_sweep_spec, jobs=jobs, label="multiseed").map(specs)

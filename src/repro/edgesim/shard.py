@@ -337,17 +337,6 @@ def _merge_outcomes(
     )
 
 
-#: Rough single-process fleet throughput (events/s) used to estimate the
-#: serial cost handed to the pool's adaptive pre-check.
-_EST_EVENTS_PER_SEC = 300_000.0
-
-
-def _estimated_serial_cost_s(config: FleetConfig) -> float:
-    events = config.arrival_rate_hz * config.duration_s * 3.0
-    events += config.churn_rate_hz * config.duration_s * 2.0
-    return events / _EST_EVENTS_PER_SEC
-
-
 def run_fleet_sharded(
     config: FleetConfig,
     *,
@@ -357,11 +346,10 @@ def run_fleet_sharded(
 ) -> ShardedRun:
     """Run ``config``'s fleet as region groups across worker processes.
 
-    ``shards`` is the requested process fan-out (default: one per CPU,
-    capped by the group count); the pool's adaptive pre-check may still
-    fall back to in-process execution when cores are scarce or the run
-    is too small to amortize dispatch — pass ``force=True`` (or set
-    ``REPRO_POOL_FORCE_PARALLEL=1``) to bypass it. ``groups`` is the
+    ``shards`` is the process fan-out (default: one per CPU, capped by
+    the group count); ``shards=1`` runs every group in-process.
+    ``force`` is ignored; it is kept so existing ``force=`` callers still
+    run, and will be removed with this runner. ``groups`` is the
     region-group count (default ``min(n_regions, 16)``); it fixes the
     decomposition and therefore the result — the merged
     :class:`FleetResult` is bitwise-identical for every ``shards`` value
@@ -379,12 +367,7 @@ def run_fleet_sharded(
         shards=shards,
     ):
         pool = get_worker_pool()
-        jobs = pool.effective_jobs(
-            shards,
-            n_groups,
-            estimated_cost_s=_estimated_serial_cost_s(config),
-            force=force,
-        )
+        jobs = pool.effective_jobs(shards, n_groups)
         columns = fleet_columns(config)
         if jobs > 1:
             store = get_shared_store()

@@ -3,20 +3,20 @@
 Three layers:
 
 - :class:`WorkerPool` — a lazily created, persistent, fork-safe process
-  pool singleton with adaptive serial fallback (``pool.py``).
+  pool singleton that runs ``min(jobs, tasks)`` workers (``pool.py``).
 - :class:`SharedArrayStore` / :class:`SharedBlobRef` — a plasma-style
   shared-memory data plane: publish large read-only inputs once, attach
-  zero-copy in every worker (``shm.py``).
+  zero-copy in every worker (``shm.py``). Only the sharded fleet runner
+  uses it.
 - :class:`ParallelTrainer` — ordered, deterministic fan-out of picklable
-  payloads over the pool, with worker telemetry merged back idempotently
-  (``trainer.py``).
+  payloads over the pool, with worker telemetry merged back once per
+  payload (``trainer.py``).
 
-Used by multi-agent CRL training (:meth:`repro.rl.crl.CRLModel.fit`,
-:meth:`~repro.rl.crl.CRLModel.warm_online_agents`), the Fig. 9 per-point
-sweep (:class:`repro.core.experiment.PTExperiment`), the multi-seed
-runner (:func:`repro.core.experiment.run_multiseed`), the serving
-dispatcher (:class:`repro.serve.dispatcher.Dispatcher`) and the sharded
-fleet runner (:func:`repro.edgesim.shard.run_fleet_sharded`).
+Used by the Fig. 9 per-point sweep
+(:meth:`repro.core.experiment.PTExperiment.sweep_processors`), the
+multi-seed runner (:func:`repro.core.experiment.run_multiseed`) and the
+sharded fleet runner (:func:`repro.edgesim.shard.run_fleet_sharded`).
+CRL trains its per-cluster agents in-process, in one lockstep pass.
 """
 
 from repro.parallel.pool import WorkerPool, get_worker_pool, shutdown_worker_pool

@@ -1,33 +1,29 @@
-"""Persistent, fork-safe worker pool with adaptive serial fallback.
+"""Persistent, fork-safe worker pool.
 
-PR 3 created a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-per fan-out, so every call repaid worker spin-up — ``BENCH_perf.json``
-showed ``jobs=4`` CRL training *losing* to serial. :class:`WorkerPool`
-amortizes that cost:
+A fresh :class:`~concurrent.futures.ProcessPoolExecutor` per fan-out
+would repay worker spin-up on every call. :class:`WorkerPool` amortizes
+that cost:
 
 - **Lazily created, reusable** — one process-wide executor, spun up on
   the first parallel map and reused by every later one (growing only
   when a call asks for more workers than it holds). Warm dispatch costs
   milliseconds instead of a pool build.
+- **Jobs means jobs** — :meth:`effective_jobs` runs ``min(jobs, tasks)``
+  workers and never second-guesses the caller: there is no cost model
+  and no core-count rule. Callers that should not fan out pass
+  ``jobs=1``.
 - **Fork-safe** — the pool remembers its creating pid. Code running in a
-  forked child (including our own workers, so nested fan-outs inside a
-  sharded evaluation degrade cleanly) sees :meth:`effective_jobs` return
-  1 and never touches the inherited executor.
-- **Adaptive serial fallback** — when the estimated serial cost of the
-  workload is below the spin-up + dispatch overhead it would pay, or the
-  machine has a single core, the pool declines to parallelize (counted
-  by ``repro_pool_adaptive_serial_total{reason=...}``). Parallelism is a
-  wall-clock optimization; it must never *cost* wall-clock.
+  forked child (including our own workers, so a nested fan-out inside a
+  worker degrades cleanly) sees :meth:`effective_jobs` return 1 and never
+  touches the inherited executor.
 - **Explicit shutdown** — :func:`shutdown_worker_pool` tears down the
   executor and (by default) unlinks every shared-memory block the
   ambient :class:`~repro.parallel.shm.SharedArrayStore` published, so a
   clean exit leaves nothing in ``/dev/shm``.
 
-Set ``REPRO_POOL_FORCE_PARALLEL=1`` to bypass the adaptive checks —
-tests use it to exercise the real multi-process path on small machines.
-
 Metrics: ``repro_pool_tasks_total{label}``, ``repro_pool_spinups_total``,
-``repro_pool_adaptive_serial_total{reason}``, ``repro_pool_workers``.
+``repro_pool_adaptive_serial_total{reason="forked_child"}``,
+``repro_pool_workers``.
 """
 
 from __future__ import annotations
@@ -37,33 +33,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.telemetry import get_registry
-
-#: Estimated one-time cost of spinning up one worker process (fork +
-#: interpreter state). Overridable for unusual machines/tests.
-SPINUP_PER_WORKER_S = float(os.environ.get("REPRO_POOL_SPINUP_S", "0.08"))
-
-#: Estimated per-task dispatch overhead on a warm pool (pickle + IPC).
-#: Recalibrated upward from 0.003: BENCH_perf.json showed sub-second
-#: fan-outs (crl_train_4cluster jobs=2/4, shapley_importance jobs=4)
-#: losing to serial, so the old figure under-priced real dispatch.
-DISPATCH_PER_TASK_S = 0.01
-
-#: Fraction of the ideal (1 - 1/workers) saving a small fan-out actually
-#: realizes — workers never split perfectly, the parent blocks on the
-#: slowest, and numpy loses core affinity. Applied to the projected
-#: saving before comparing against overhead.
-PARALLEL_EFFICIENCY = 0.65
-
-#: With at most this many cores, parallel workers fight the parent (and
-#: each other) for cycles, so the break-even point moves far right:
-#: require each worker's serial chunk to be at least
-#: ``SCARCE_MIN_CHUNK_S`` before fanning out.
-SCARCE_CPU_THRESHOLD = 2
-SCARCE_MIN_CHUNK_S = 1.0
-
-
-def _force_parallel() -> bool:
-    return os.environ.get("REPRO_POOL_FORCE_PARALLEL", "") not in ("", "0")
 
 
 class WorkerPool:
@@ -84,55 +53,22 @@ class WorkerPool:
     def size(self) -> int:
         return self._size if self.warm else 0
 
-    def _adaptive_serial(self, reason: str) -> int:
-        get_registry().counter(
-            "repro_pool_adaptive_serial_total",
-            help="Fan-outs the pool declined to parallelize",
-            reason=reason,
-        ).inc()
-        return 1
+    def effective_jobs(self, jobs: int, tasks: int) -> int:
+        """Worker count a fan-out uses: ``min(jobs, tasks)``, 1 = run serial.
 
-    def overhead_s(self, workers: int, tasks: int) -> float:
-        """Estimated extra wall-clock a parallel map of ``tasks`` pays."""
-        cost = DISPATCH_PER_TASK_S * tasks
-        if not self.warm or self._size < workers:
-            cost += SPINUP_PER_WORKER_S * workers
-        return cost
-
-    def effective_jobs(
-        self,
-        jobs: int,
-        tasks: int,
-        *,
-        estimated_cost_s: float | None = None,
-        force: bool = False,
-    ) -> int:
-        """Worker count a fan-out should actually use (1 = run serial).
-
-        ``estimated_cost_s`` is the caller's estimate of the *total
-        serial* cost of the workload; when given, the pool parallelizes
-        only if the projected wall-clock saving beats the overhead.
+        A forked child always runs serial (counted by
+        ``repro_pool_adaptive_serial_total{reason="forked_child"}``).
         """
-        if jobs <= 1 or tasks < 2:
-            return 1
         workers = min(jobs, tasks)
+        if workers < 2:
+            return 1
         if self._pid is not None and self._pid != os.getpid():
-            return self._adaptive_serial("forked_child")
-        if force or _force_parallel():
-            return workers
-        cpus = os.cpu_count() or 1
-        if cpus < 2:
-            return self._adaptive_serial("single_core")
-        workers = min(workers, cpus)
-        if estimated_cost_s is not None:
-            if (
-                cpus <= SCARCE_CPU_THRESHOLD
-                and estimated_cost_s / workers < SCARCE_MIN_CHUNK_S
-            ):
-                return self._adaptive_serial("scarce_cores")
-            saving = estimated_cost_s * (1.0 - 1.0 / workers) * PARALLEL_EFFICIENCY
-            if saving <= self.overhead_s(workers, tasks):
-                return self._adaptive_serial("small_work")
+            get_registry().counter(
+                "repro_pool_adaptive_serial_total",
+                help="Fan-outs the pool declined to parallelize",
+                reason="forked_child",
+            ).inc()
+            return 1
         return workers
 
     # ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Process-parallel fan-out for embarrassingly parallel pipeline stages.
 
-The CRL training phase trains one DQN per cluster/neighbourhood on
-disjoint state — the canonical fan-out. :class:`ParallelTrainer` runs a
-picklable module-level worker function over a list of picklable payloads
-on a :class:`~concurrent.futures.ProcessPoolExecutor`, with three
-guarantees the rest of the pipeline relies on:
+A Fig. 9 sweep point or one seed of a multi-seed run rebuilds and
+evaluates a whole policy set on its own — the canonical fan-out.
+:class:`ParallelTrainer` runs a picklable module-level worker function
+over a list of picklable payloads on a
+:class:`~concurrent.futures.ProcessPoolExecutor`, with three guarantees
+the rest of the pipeline relies on:
 
 - **Determinism** — all randomness must come from seeds carried *inside*
   the payloads (see :func:`repro.utils.rng.derive_seeds`), so ``jobs=1``
@@ -16,18 +17,18 @@ guarantees the rest of the pipeline relies on:
   registry and grafts worker spans under a ``parallel.worker`` span in
   the ambient trace (worker spans are re-based onto the parent timeline
   and marked ``clock="worker"``).
-- **Graceful serial fallback** — ``jobs=1``, single-item workloads, or
-  any pickling/pool failure degrade to an in-process loop (counted by
-  ``repro_parallel_fallbacks_total``); the parallel path is an
-  optimization, never a requirement.
+- **Graceful serial fallback** — ``jobs=1`` and single-item workloads
+  run in-process; a dispatch failure (pickling, a dead worker, an OS
+  error) degrades the map to an in-process loop (counted by
+  ``repro_parallel_fallbacks_total``). An exception raised by the worker
+  function itself is not a dispatch failure: it is raised once, in the
+  parent, exactly as the serial loop would raise it.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
-from collections import OrderedDict
+import traceback
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
@@ -44,47 +45,32 @@ from repro.telemetry import (
     use_run_trace,
 )
 
-#: Parent-side task tokens: unique per submission, so telemetry merges
-#: are idempotent even if a result is observed twice (pool reuse, retry).
-_token_counter = itertools.count()
 
-#: Tokens whose telemetry has already been merged, bounded LRU.
-_merged_tokens: OrderedDict[str, None] = OrderedDict()
-_MERGED_TOKEN_CAP = 8192
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised inside a worker."""
 
 
-def _next_token() -> str:
-    return f"{os.getpid()}:{next(_token_counter)}"
-
-
-def mark_merged(token: str | None) -> bool:
-    """True exactly once per token — the idempotency latch for merges."""
-    if token is None:
-        return True
-    if token in _merged_tokens:
-        return False
-    _merged_tokens[token] = None
-    while len(_merged_tokens) > _MERGED_TOKEN_CAP:
-        _merged_tokens.popitem(last=False)
-    return True
-
-
-def _run_in_worker(fn: Callable, payload, token: str | None = None) -> tuple:
+def _run_in_worker(fn: Callable, payload) -> tuple:
     """Execute ``fn(payload)`` under private telemetry sinks.
 
-    Returns ``(value, spans, metrics, token)`` where ``spans`` is the
+    Returns ``(error, value, spans, metrics)`` where ``spans`` is the
     worker trace as dicts and ``metrics`` is a registry snapshot — plain
     data, picklable back to the parent. The registry and trace are fresh
     per task (not per worker process), so each result carries exactly the
     deltas this task produced: a long-lived pool worker serving many
-    batches can never leak counts across tasks, and ``token`` lets the
-    parent merge each result at most once.
+    batches can never leak counts across tasks. An exception raised by
+    ``fn`` comes back as ``error``, ``(exception, formatted traceback)``
+    with ``value`` ``None``, so the parent can re-raise it instead of
+    mistaking it for a dispatch failure.
     """
     registry = MetricsRegistry()
     trace = RunTrace(label="worker")
     with use_registry(registry), use_run_trace(trace):
-        value = fn(payload)
-    return value, [record.to_dict() for record in trace.spans], snapshot(registry), token
+        try:
+            value = fn(payload)
+        except Exception as exc:
+            return (exc, traceback.format_exc()), None, [], {}
+    return None, value, [record.to_dict() for record in trace.spans], snapshot(registry)
 
 
 def merge_worker_metrics(metrics: dict) -> None:
@@ -168,11 +154,11 @@ class ParallelTrainer:
 
     Fan-outs execute on the process-wide persistent
     :class:`~repro.parallel.pool.WorkerPool` — the executor is built once
-    and reused, so repeated maps (per-epoch evaluator reruns, per-point
-    allocator rebuilds) stop repaying spin-up. The pool may decline to
-    parallelize (single core, workload smaller than the overhead, forked
-    child); the map then runs serially in-process, which is always
-    result-identical by the determinism contract.
+    and reused, so repeated maps (back-to-back Fig. 9 sweeps, one map per
+    multi-seed run) stop repaying spin-up. ``jobs`` is the worker
+    count, capped by the payload count; a map inside a forked worker runs
+    serially in-process, which is always result-identical by the
+    determinism contract.
 
     Parameters
     ----------
@@ -185,75 +171,58 @@ class ParallelTrainer:
         directly instead of through the merge path.
     label:
         Span label for the fan-out (``parallel.map`` attr).
-    estimated_cost_s:
-        Caller's estimate of the workload's total *serial* seconds; lets
-        the pool skip fan-outs whose parallel saving would not cover the
-        dispatch/spin-up overhead. ``None`` trusts the caller's ``jobs``.
-    force:
-        Bypass the pool's adaptive checks (tests use this to exercise the
-        multi-process path on small machines).
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        *,
-        jobs: int = 1,
-        label: str = "train",
-        estimated_cost_s: float | None = None,
-        force: bool = False,
-    ) -> None:
+    def __init__(self, fn: Callable, *, jobs: int = 1, label: str = "train") -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.fn = fn
         self.jobs = int(jobs)
         self.label = label
-        self.estimated_cost_s = estimated_cost_s
-        self.force = bool(force)
 
     # ------------------------------------------------------------------
     def _map_serial(self, payloads: Sequence) -> list:
         with span("parallel.map", label=self.label, jobs=1, tasks=len(payloads)):
             return [self.fn(payload) for payload in payloads]
 
-    def _map_parallel(self, payloads: Sequence, workers: int) -> list:
-        pool = get_worker_pool()
+    def _dispatch(self, payloads: Sequence, workers: int) -> list:
+        """Every payload's worker outcome, in order (raises dispatch failures)."""
         with span("parallel.map", label=self.label, jobs=workers, tasks=len(payloads)):
-            executor = pool.executor(workers)
+            executor = get_worker_pool().executor(workers)
             futures = [
-                executor.submit(_run_in_worker, self.fn, payload, _next_token())
-                for payload in payloads
+                executor.submit(_run_in_worker, self.fn, payload) for payload in payloads
             ]
-            outcomes = [future.result() for future in futures]
+            return [future.result() for future in futures]
+
+    def _collect(self, outcomes: list) -> list:
+        """Re-raise the first worker error, else merge telemetry once per outcome."""
+        for error, *_ in outcomes:
+            if error is not None:
+                exc, worker_traceback = error
+                raise exc from WorkerTraceback(worker_traceback)
         values = []
-        for worker, (value, spans, metrics, token) in enumerate(outcomes):
-            if mark_merged(token):
-                merge_worker_metrics(metrics)
-                merge_worker_spans(spans, worker=worker)
+        for worker, (_, value, spans, metrics) in enumerate(outcomes):
+            merge_worker_metrics(metrics)
+            merge_worker_spans(spans, worker=worker)
             values.append(value)
-        pool.count_tasks(len(payloads), label=self.label)
+        get_worker_pool().count_tasks(len(outcomes), label=self.label)
         get_registry().counter(
             "repro_parallel_tasks_total",
             help="Payloads executed by ParallelTrainer worker processes",
             label=self.label,
-        ).inc(len(payloads))
+        ).inc(len(outcomes))
         return values
 
     def map(self, payloads: Sequence) -> list:
-        """``[fn(p) for p in payloads]``, fanned out when it pays off."""
+        """``[fn(p) for p in payloads]``, over ``min(jobs, len(payloads))`` workers."""
         payloads = list(payloads)
         if not payloads:
             return []
-        workers = get_worker_pool().effective_jobs(
-            self.jobs,
-            len(payloads),
-            estimated_cost_s=self.estimated_cost_s,
-            force=self.force,
-        )
+        workers = get_worker_pool().effective_jobs(self.jobs, len(payloads))
         if workers == 1:
             return self._map_serial(payloads)
         try:
-            return self._map_parallel(payloads, workers)
+            outcomes = self._dispatch(payloads, workers)
         except (pickle.PicklingError, AttributeError, TypeError, BrokenProcessPool, OSError) as exc:
             if isinstance(exc, BrokenProcessPool):
                 get_worker_pool().reset()
@@ -264,3 +233,4 @@ class ParallelTrainer:
             ).inc()
             with span("parallel.fallback", label=self.label, error=type(exc).__name__):
                 return self._map_serial(payloads)
+        return self._collect(outcomes)

@@ -27,12 +27,6 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.ml.kmeans import KMeans
 from repro.ml.knn import nearest_indices
-from repro.parallel import (
-    ParallelTrainer,
-    get_shared_store,
-    get_worker_pool,
-    resolve_shared,
-)
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.env import AllocationEnv
 from repro.rl.replay import Transition
@@ -116,21 +110,14 @@ class EnvironmentStore:
         return self.importance_matrix[index].mean(axis=0)
 
 
-#: Rough serial cost of one DQN training episode on the reference bench
-#: machine; feeds the pool's work-vs-overhead fan-out decision.
-EST_TRAIN_S_PER_EPISODE = 0.012
-
-
 @dataclass(frozen=True)
 class AgentTrainTask:
     """Self-contained, picklable spec for training one per-environment DQN.
 
-    Everything a worker process needs — geometry, the environment's
-    importance vector, hyper-parameters, and the pre-derived seed — so
-    training is a pure function of the task and serial/parallel runs are
-    byte-identical. ``geometry`` may be a
-    :class:`~repro.parallel.shm.SharedBlobRef`: the parent then pickles
-    the TATIM instance once into shared memory instead of once per task.
+    Everything training needs — geometry, the environment's importance
+    vector, hyper-parameters, and the pre-derived seed — so training is a
+    pure function of the task, and per-agent and stacked training are
+    byte-identical.
     """
 
     geometry: TATIMProblem
@@ -143,10 +130,9 @@ class AgentTrainTask:
 
 
 def train_allocation_agent(task: AgentTrainTask) -> DQNAgent:
-    """Train one per-environment DQN from a spec (the parallel worker fn)."""
+    """Train one per-environment DQN from a spec."""
     with span("rl.crl.train_agent", mode=task.mode):
-        geometry = resolve_shared(task.geometry)
-        problem = geometry.scaled(importance=task.importance)
+        problem = task.geometry.scaled(importance=task.importance)
         env = AllocationEnv(problem)
         agent = DQNAgent(env.state_dim, env.n_actions, task.dqn_config, seed=task.seed)
         if task.seed_demonstrations:
@@ -168,14 +154,13 @@ def train_allocation_agents_stacked(tasks: list[AgentTrainTask]) -> list[DQNAgen
     and every RNG stream are per-task exactly as in the serial path, and
     the lockstep trainer's fused kernels are bitwise identical to the
     per-agent ones — so the returned agents are **byte-identical** to
-    serially (or pool-) trained ones, just faster on one core.
+    serially trained ones, just faster.
     """
     with span("rl.crl.train_agents_stacked", agents=len(tasks)):
         agents: list[DQNAgent] = []
         problems: list[TATIMProblem] = []
         for task in tasks:
-            geometry = resolve_shared(task.geometry)
-            problem = geometry.scaled(importance=task.importance)
+            problem = task.geometry.scaled(importance=task.importance)
             env = AllocationEnv(problem)
             agent = DQNAgent(env.state_dim, env.n_actions, task.dqn_config, seed=task.seed)
             if task.seed_demonstrations:
@@ -254,14 +239,13 @@ class CRLModel:
         so the terminal reward signal is present from the first gradient
         step (a standard learning-from-demonstration warm start). Disable
         to measure pure exploration (ablation bench).
-    jobs:
-        Worker processes for multi-agent training (offline fits and
-        :meth:`warm_online_agents`). The agents are independent, so when
-        the worker pool agrees that fan-out pays, they train in worker
-        processes; otherwise they train in-process in one lockstep pass
-        (:func:`train_allocation_agents_stacked`). Seeds are derived up
-        front in a fixed order and the two paths are bitwise identical,
-        so any ``jobs`` value produces byte-identical agents.
+
+    Multi-agent rounds (offline fits and :meth:`warm_online_agents`)
+    train their independent agents in-process in one lockstep pass
+    (:func:`train_allocation_agents_stacked`), with seeds derived up front
+    in a fixed order. The controller runs on an edge node, so training
+    never fans out to worker processes: each worker would hold its own
+    copy of the interpreter and numpy.
     """
 
     def __init__(
@@ -274,22 +258,18 @@ class CRLModel:
         episodes: int = 120,
         dqn_config: DQNConfig | None = None,
         seed_demonstrations: bool = True,
-        jobs: int = 1,
         seed=None,
     ) -> None:
         if mode not in ("offline", "online"):
             raise ConfigurationError(f"mode must be 'offline' or 'online', got {mode!r}")
         if n_clusters < 1 or knn_k < 1 or episodes < 1:
             raise ConfigurationError("n_clusters, knn_k and episodes must be >= 1")
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.geometry = geometry
         self.mode = mode
         self.n_clusters = int(n_clusters)
         self.knn_k = int(knn_k)
         self.episodes = int(episodes)
         self.seed_demonstrations = bool(seed_demonstrations)
-        self.jobs = int(jobs)
         self.dqn_config = dqn_config if dqn_config is not None else DQNConfig()
         self._rng = as_rng(seed)
         self.store: EnvironmentStore | None = None
@@ -325,9 +305,9 @@ class CRLModel:
         )
 
     # ------------------------------------------------------------------
-    def _train_task(self, geometry, importance: np.ndarray, seed: int) -> AgentTrainTask:
+    def _train_task(self, importance: np.ndarray, seed: int) -> AgentTrainTask:
         return AgentTrainTask(
-            geometry=geometry,
+            geometry=self.geometry,
             importance=np.asarray(importance, dtype=float),
             dqn_config=self.dqn_config,
             episodes=self.episodes,
@@ -336,47 +316,14 @@ class CRLModel:
             mode=self.mode,
         )
 
-    def _train_agents(self, importances: list, seeds: list, *, label: str) -> list[DQNAgent]:
-        """One agent per (importance, seed), in order.
-
-        The pool decides once, up front, whether the round fans out. Only
-        then is the geometry published to shared memory (and released when
-        the map returns); otherwise every agent trains in-process in one
-        lockstep pass. Both paths return byte-identical agents.
-        """
-        estimated_s = EST_TRAIN_S_PER_EPISODE * self.episodes * len(importances)
-        jobs = get_worker_pool().effective_jobs(
-            self.jobs, len(importances), estimated_cost_s=estimated_s
-        )
-        if jobs == 1:
-            tasks = [
-                self._train_task(self.geometry, importance, seed)
-                for importance, seed in zip(importances, seeds)
-            ]
-            if len(tasks) == 1:
-                return [train_allocation_agent(tasks[0])]
-            return train_allocation_agents_stacked(tasks)
-        shared = get_shared_store()
-        key = f"crl.geometry:{id(self.geometry)}"
-        # One shared-memory publication instead of one pickled geometry
-        # per task; workers attach it zero-copy.
-        geometry = shared.share(key, self.geometry)
-        try:
-            tasks = [
-                self._train_task(geometry, importance, seed)
-                for importance, seed in zip(importances, seeds)
-            ]
-            # force: the pool already agreed to fan out above.
-            trainer = ParallelTrainer(
-                train_allocation_agent,
-                jobs=jobs,
-                label=label,
-                estimated_cost_s=estimated_s,
-                force=True,
-            )
-            return trainer.map(tasks)
-        finally:
-            shared.release(key)
+    def _train_agents(self, importances: list, seeds: list) -> list[DQNAgent]:
+        """One agent per (importance, seed), in order, in one lockstep pass."""
+        tasks = [
+            self._train_task(importance, seed) for importance, seed in zip(importances, seeds)
+        ]
+        if len(tasks) == 1:
+            return [train_allocation_agent(tasks[0])]
+        return train_allocation_agents_stacked(tasks)
 
     def _train_agent(self, importance: np.ndarray) -> DQNAgent:
         """Train one agent in-process (online mode's lazy path).
@@ -386,7 +333,7 @@ class CRLModel:
         and bulk-warmed agents are byte-identical.
         """
         seed = int(self._rng.integers(0, 2**31 - 1))
-        return train_allocation_agent(self._train_task(self.geometry, importance, seed))
+        return train_allocation_agent(self._train_task(importance, seed))
 
     def warm_online_agents(self, sensing_rows) -> int:
         """Pre-train the online-mode agents a batch of queries will need.
@@ -397,8 +344,7 @@ class CRLModel:
         *distinct missing* neighbourhood keys in first-occurrence order,
         draws each agent's seed from the model RNG in that same order —
         exactly the draws the lazy path would have made — and trains the
-        independent agents together (fanned out over ``jobs`` workers or
-        stacked in-process, see :meth:`fit`). Subsequent :meth:`allocate`
+        independent agents together in one lockstep pass. Subsequent :meth:`allocate`
         calls then hit the agent cache, and the warmed agents are
         byte-identical to lazily trained ones. Returns the number of
         agents trained.
@@ -416,13 +362,11 @@ class CRLModel:
             missing[key] = self.estimate_importance(row)
         if not missing:
             return 0
-        with span("rl.crl.online_warm", agents=len(missing), jobs=self.jobs):
+        with span("rl.crl.online_warm", agents=len(missing)):
             # Seeds are drawn per missing key in first-occurrence order:
             # the exact RNG stream serial lazy training would consume.
             seeds = [int(self._rng.integers(0, 2**31 - 1)) for _ in missing]
-            trained = self._train_agents(
-                list(missing.values()), seeds, label="crl.online_warm"
-            )
+            trained = self._train_agents(list(missing.values()), seeds)
             for key, agent in zip(missing, trained):
                 self._online_agents[key] = agent
         return len(trained)
@@ -431,9 +375,8 @@ class CRLModel:
         """Training phase of Algorithm 1 over the historical store.
 
         Offline mode trains one DQN per k-means cluster; the clusters are
-        independent, so with ``jobs > 1`` they train in parallel worker
-        processes when the pool agrees that pays, and in one in-process
-        lockstep pass otherwise (identical agents either way).
+        independent, so they train together in one in-process lockstep
+        pass.
         """
         if len(store) == 0:
             raise DataError("cannot fit CRL on an empty environment store")
@@ -441,7 +384,7 @@ class CRLModel:
         cache = get_allocation_cache()
         if cache is not None:
             cache.watch(store)
-        with span("rl.crl.fit", mode=self.mode, environments=len(store), jobs=self.jobs):
+        with span("rl.crl.fit", mode=self.mode, environments=len(store)):
             if self.mode == "offline":
                 k = min(self.n_clusters, len(store))
                 self._kmeans = KMeans(n_clusters=k, seed=self._rng)
@@ -452,7 +395,6 @@ class CRLModel:
                 trained = self._train_agents(
                     [importance[labels == cluster].mean(axis=0) for cluster in clusters],
                     seeds,
-                    label="crl.fit",
                 )
                 for cluster, agent in zip(clusters, trained):
                     self._cluster_agents[cluster] = agent

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,19 @@ def tiny_problem():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def child_pids():
+    """A callable: the pids of this process's live child processes."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc to list child processes")
+
+    def children() -> set[int]:
+        pids: set[int] = set()
+        for path in glob.glob("/proc/self/task/*/children"):
+            with open(path, encoding="ascii") as handle:
+                pids.update(int(pid) for pid in handle.read().split())
+        return pids
+
+    return children

@@ -17,12 +17,11 @@ import pytest
 from repro.core import bench
 from repro.core.bench import BENCHES, Run
 
-#: The entries ``repro bench --jobs 2`` writes.
-JOBS2_NAMES = {
+#: The entries ``repro bench`` writes.
+TRACKED_NAMES = {
     "building_dataset_generate",
     "dcta_system_build",
     "crl_train_4cluster_jobs1",
-    "crl_train_4cluster_jobs2",
     "crl_train_stacked",
     "crl_train_unstacked",
     "dqn_train_step_x200",
@@ -50,7 +49,7 @@ JOBS2_NAMES = {
 
 
 def _bench(name: str) -> bench.Bench:
-    (match,) = [entry for entry in BENCHES if name in entry.entry_names(2)]
+    (match,) = [entry for entry in BENCHES if name in entry.names]
     return match
 
 
@@ -95,7 +94,6 @@ GOOD = {
     },
     "crl_train_4cluster_jobs1": {
         "crl_train_4cluster_jobs1": (_plans((0, 1)), 0),
-        "crl_train_4cluster_jobs2": (_plans((0, 1)), 2),
     },
     "crl_train_stacked": {
         "crl_train_stacked": [_agent(1.0)],
@@ -151,7 +149,7 @@ WRONG = [
     ("building_dataset_generate", "building_dataset_generate", NS(n_tasks=4, days=np.arange(19))),
     ("building_dataset_generate", "building_dataset_generate", NS(n_tasks=0, days=np.arange(20))),
     ("dcta_system_build", "dcta_system_build", NS(allocators={"RM": 0, "DML": 0, "CRL": 0})),
-    ("crl_train_4cluster_jobs1", "crl_train_4cluster_jobs2", (_plans((0, 2)), 2)),
+    ("crl_train_4cluster_jobs1", "crl_train_4cluster_jobs1", (_plans((0, 1)), 1)),
     ("crl_train_4cluster_jobs1", "crl_train_4cluster_jobs1", (lambda: [], 0)),
     ("crl_train_stacked", "crl_train_unstacked", [_agent(2.0)]),
     ("rollout_batch_x32", "rollout_batch_x32", [NS(as_assignment=lambda: {0: 2})]),
@@ -191,11 +189,9 @@ WRONG = [
 
 
 def test_entry_names_are_unique_and_match_the_tracked_set():
-    names = [name for entry in BENCHES for name in entry.entry_names(2)]
+    names = [name for entry in BENCHES for name in entry.names]
     assert len(names) == len(set(names))
-    assert set(names) == JOBS2_NAMES
-    # At jobs=1 the CRL pair collapses to one entry instead of a duplicate.
-    assert len([n for entry in BENCHES for n in entry.entry_names(1)]) == len(names) - 1
+    assert set(names) == TRACKED_NAMES
 
 
 def test_every_bench_has_a_result_fixture():
@@ -214,21 +210,6 @@ def test_check_raises_on_a_wrong_result(key, name, wrong):
     assert name in GOOD[key]
     with pytest.raises(AssertionError):
         _bench(key).check(_runs({**GOOD[key], name: wrong}))
-
-
-def test_crl_speedup_gate_fires_on_four_cores(monkeypatch):
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
-    last = {**GOOD["crl_train_4cluster_jobs1"], "crl_train_4cluster_jobs4": (_plans((0, 1)), 4)}
-    check = _bench("crl_train_4cluster_jobs1").check
-    fast = {"crl_train_4cluster_jobs1": 1.0, "crl_train_4cluster_jobs4": 0.4}
-    check(_runs(last, fast))
-    with pytest.raises(AssertionError, match="< 2x"):
-        check(_runs(last, {**fast, "crl_train_4cluster_jobs4": 0.8}))
-    with pytest.raises(AssertionError, match="vs jobs=1"):
-        check(_runs(last, {**fast, "crl_train_4cluster_jobs4": 1.2}))
-    # Two workers cannot reach 2x; no gate.
-    last["crl_train_4cluster_jobs4"] = (_plans((0, 1)), 2)
-    check(_runs(last, {**fast, "crl_train_4cluster_jobs4": 0.8}))
 
 
 def test_sharded_speedup_gate_fires_when_shards_fan_out():

@@ -6,6 +6,7 @@ import pytest
 from repro.building.dataset import BuildingOperationConfig
 from repro.core.dcta_system import DCTASystem, DCTASystemConfig
 from repro.errors import ConfigurationError, DataError
+from repro.parallel import get_worker_pool, shutdown_worker_pool
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,27 @@ class TestBuild:
         counts = np.array([t.n_samples for t in system.dataset.tasks])
         sizes = np.array([t.input_mb for t in system.workload])
         assert np.corrcoef(counts, sizes)[0, 1] > 0.99
+
+
+class TestMemory:
+    def test_jobs_config_starts_no_worker(self, child_pids):
+        """CRL trains in-process, so a jobs=2 build forks no worker: each
+        worker would hold its own interpreter and numpy on an edge node."""
+        shutdown_worker_pool()
+        before = child_pids()  # e.g. multiprocessing's resource tracker
+        spinups = get_worker_pool().spinups
+        config = DCTASystemConfig(
+            building=BuildingOperationConfig(n_days=14, n_buildings=2, seed=21),
+            n_processors=4,
+            crl_clusters=2,
+            crl_episodes=10,
+            dqn_hidden=(16,),
+            jobs=2,
+            seed=0,
+        )
+        DCTASystem(config).build()
+        assert get_worker_pool().spinups == spinups
+        assert child_pids() <= before
 
 
 class TestRunEpoch:

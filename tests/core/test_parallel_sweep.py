@@ -16,6 +16,8 @@ import pytest
 
 from repro.core.experiment import PTExperiment
 from repro.core.scenario import ScenarioConfig, SyntheticScenario
+from repro.parallel import shutdown_worker_pool
+from repro.telemetry import MetricsRegistry, use_registry
 
 POINTS = (2, 4)
 DETERMINISTIC = ("RM", "DML")
@@ -23,7 +25,8 @@ JITTERED = ("CRL", "DCTA")
 
 
 @pytest.fixture(scope="module")
-def sweep_pair(request):
+def sweep_runs():
+    """The sweep at jobs=1 and at jobs=4, with the jobs=4 run's metrics."""
     scenario = SyntheticScenario(
         ScenarioConfig(n_tasks=16, n_regimes=3, n_history=6, n_eval=2, seed=5)
     )
@@ -33,16 +36,18 @@ def sweep_pair(request):
         return experiment.sweep_processors(POINTS)
 
     serial = run(1)
-    # Force real worker processes even on single-core machines.
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
+    registry = MetricsRegistry()
     try:
-        parallel = run(4)
+        with use_registry(registry):
+            parallel = run(4)
     finally:
-        mp.undo()
-        from repro.parallel import shutdown_worker_pool
-
         shutdown_worker_pool()
+    return serial, parallel, registry
+
+
+@pytest.fixture(scope="module")
+def sweep_pair(sweep_runs):
+    serial, parallel, _ = sweep_runs
     return serial, parallel
 
 
@@ -75,16 +80,13 @@ class TestSweepParity:
             assert all(s >= 0.0 for s in seconds)
 
 
-def test_forced_sweep_releases_its_scenario_block(monkeypatch):
-    """The per-point fan-out publishes the scenario only for its map."""
-    from repro.parallel import get_shared_store, shutdown_worker_pool
-
-    scenario = SyntheticScenario(
-        ScenarioConfig(n_tasks=8, n_regimes=2, n_history=4, n_eval=1, seed=3)
-    )
-    monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
-    try:
-        PTExperiment(scenario, crl_episodes=2, jobs=2, seed=0).sweep_processors(POINTS)
-        assert get_shared_store().ref_for(f"sweep.scenario:{id(scenario)}") is None
-    finally:
-        shutdown_worker_pool()
+def test_points_fan_out_over_worker_processes(sweep_runs):
+    """jobs=4 runs every point in a worker (two workers for two points)."""
+    *_, registry = sweep_runs
+    tasks = {
+        key: child.value
+        for family in registry.families()
+        if family.name == "repro_parallel_tasks_total"
+        for key, child in family.children.items()
+    }
+    assert tasks == {(("label", "sweep.processors"),): len(POINTS)}

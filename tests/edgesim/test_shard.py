@@ -3,9 +3,9 @@
 The identity tier is the load-bearing contract: the merged
 :class:`FleetResult` (every counter, every percentile, the full streaming
 timeseries) must be bit-for-bit independent of how many worker processes
-executed the region groups — across seeds, topologies, and churn. The
-multiprocess side always runs with ``force=True`` so real workers and the
-shared-memory column plane are exercised even on single-core CI boxes.
+executed the region groups — across seeds, topologies, and churn. Any
+``shards`` above 1 runs real worker processes and the shared-memory
+column plane, even on single-core CI boxes.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class TestShardIdentity:
     def test_shards_1_equals_shards_n(self, seed, topology, churn):
         config = _config(seed, topology, churn)
         single = run_fleet_sharded(config, shards=1)
-        multi = run_fleet_sharded(config, shards=2, force=True)
+        multi = run_fleet_sharded(config, shards=2)
         assert single.shards == 1
         assert multi.shards == 2
         assert single.groups == multi.groups
@@ -80,8 +80,7 @@ class TestShardIdentity:
     def test_shard_count_beyond_two_is_still_identical(self):
         config = _config(3, "default", 0.5)
         runs = [
-            run_fleet_sharded(config, shards=shards, force=shards > 1)
-            for shards in (1, 3, 4)
+            run_fleet_sharded(config, shards=shards) for shards in (1, 3, 4)
         ]
         for other in runs[1:]:
             _assert_identical(runs[0].result, other.result)
@@ -97,7 +96,7 @@ class TestShardIdentity:
         # shard/CPU count.
         config = _config(0, "default", 0.0)
         a = run_fleet_sharded(config, shards=1, groups=4)
-        b = run_fleet_sharded(config, shards=2, groups=4, force=True)
+        b = run_fleet_sharded(config, shards=2, groups=4)
         _assert_identical(a.result, b.result)
 
     def test_barrier_crossings_reported(self):

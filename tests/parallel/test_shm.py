@@ -97,7 +97,7 @@ class TestLeaksAndShutdown:
         shared = get_shared_store()
         matrix = np.arange(64.0).reshape(8, 8)
         ref = shared.share("t.leak", {"matrix": matrix})
-        trainer = ParallelTrainer(_sum_shared, jobs=2, force=True)
+        trainer = ParallelTrainer(_sum_shared, jobs=2)
         assert trainer.map([ref, ref]) == [float(matrix.sum())] * 2
         assert len(_segments()) >= len(before)
         shutdown_worker_pool()  # releases the shared plane too

@@ -1,9 +1,13 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import repro.rl.crl as crl_module
 from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.parallel import get_shared_store, shutdown_worker_pool
+from repro.parallel import get_shared_store, get_worker_pool
 from repro.rl.crl import (
     AgentTrainTask,
     CRLModel,
@@ -34,12 +38,7 @@ def store(geometry, rng):
     return store, base_a, base_b
 
 
-@pytest.fixture
-def force_parallel(monkeypatch):
-    """Real worker processes even where the pool would decline them."""
-    monkeypatch.setenv("REPRO_POOL_FORCE_PARALLEL", "1")
-    yield
-    shutdown_worker_pool()
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _agent_state(agent) -> tuple:
@@ -192,37 +191,39 @@ class TestEnvironmentStoreCache:
         assert events == [1, 2]
 
 
-class TestParallelFit:
-    def _model(self, geometry, jobs):
-        return CRLModel(
-            geometry,
-            n_clusters=2,
-            episodes=15,
-            dqn_config=DQNConfig(hidden_sizes=(16,)),
-            jobs=jobs,
-            seed=0,
+class TestTrainingGolden:
+    """Trained agents are pinned bitwise (``golden/make_crl_golden.py``).
+
+    The digests were recorded when a training round could also fan its
+    agents out over worker processes (that path gave the same digests);
+    every round now trains in-process in one lockstep pass.
+    """
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        spec = importlib.util.spec_from_file_location(
+            "repro_tests_make_crl_golden", GOLDEN_DIR / "make_crl_golden.py"
         )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.run_cases()
 
-    def test_parallel_fit_matches_serial(self, geometry, store, force_parallel):
-        """Agents trained in worker processes equal jobs=1 agents."""
-        environments, *_ = store
-        serial = self._model(geometry, jobs=1).fit(environments)
-        parallel = self._model(geometry, jobs=2).fit(environments)
-        for sensing in (np.zeros(4), np.full(4, 8.0)):
-            assert np.array_equal(
-                serial.allocate(sensing).matrix, parallel.allocate(sensing).matrix
-            )
-        # The fan-out released the geometry it published.
-        assert get_shared_store().ref_for(f"crl.geometry:{id(geometry)}") is None
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((GOLDEN_DIR / "crl_golden.json").read_text(encoding="utf-8"))
 
-    def test_declined_fanout_trains_stacked_without_publishing(
-        self, geometry, store, monkeypatch
-    ):
-        """When the pool declines jobs=2, training is one in-process
-        lockstep pass and nothing is published to shared memory."""
+    def test_offline_fit_matches_golden(self, cases, golden):
+        assert cases["offline_fit"] == golden["offline_fit"]
+
+    def test_online_warm_matches_golden(self, cases, golden):
+        assert cases["online_warm"] == golden["online_warm"]
+
+
+class TestFit:
+    def test_fit_trains_stacked_in_process(self, geometry, store, monkeypatch):
+        """A fit is one in-process lockstep pass: no worker pool, nothing
+        published to shared memory."""
         environments, *_ = store
-        monkeypatch.delenv("REPRO_POOL_FORCE_PARALLEL", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
         calls = []
 
         def recording_stacked(tasks):
@@ -232,14 +233,17 @@ class TestParallelFit:
         monkeypatch.setattr(crl_module, "train_allocation_agents_stacked", recording_stacked)
         shared = get_shared_store()
         blocks_before = len(shared)
-        model = self._model(geometry, jobs=2).fit(environments)
+        spinups = get_worker_pool().spinups
+        model = CRLModel(
+            geometry,
+            n_clusters=2,
+            episodes=15,
+            dqn_config=DQNConfig(hidden_sizes=(16,)),
+            seed=0,
+        ).fit(environments)
         assert calls == [len(model._cluster_agents)] == [2]
         assert len(shared) == blocks_before
-        assert shared.ref_for(f"crl.geometry:{id(geometry)}") is None
-
-    def test_invalid_jobs_rejected(self, geometry):
-        with pytest.raises(ConfigurationError):
-            CRLModel(geometry, jobs=0)
+        assert get_worker_pool().spinups == spinups
 
 
 class TestOnlineWarming:
@@ -296,20 +300,6 @@ class TestOnlineWarming:
         first = model.warm_online_agents([np.zeros(4), np.zeros(4) + 1e-9])
         assert first >= 1
         assert model.warm_online_agents([np.zeros(4)]) == 0
-
-    def test_warm_parallel_matches_serial(self, geometry, store, force_parallel):
-        """Warming in worker processes produces the jobs=1 agents."""
-        environments, *_ = store
-        queries = [np.zeros(4), np.full(4, 8.0)]
-        serial = self._online_model(geometry, jobs=1).fit(environments)
-        serial.warm_online_agents(queries)
-        parallel = self._online_model(geometry, jobs=2).fit(environments)
-        parallel.warm_online_agents(queries)
-        assert set(serial._online_agents) == set(parallel._online_agents)
-        for query in queries:
-            assert np.array_equal(
-                serial.allocate(query).matrix, parallel.allocate(query).matrix
-            )
 
 
 class TestStackedTraining:
