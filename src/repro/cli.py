@@ -530,7 +530,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_edgesim(args: argparse.Namespace) -> int:
     if args.fleet:
-        from repro.edgesim.fleet import FleetConfig, FleetSimulator
+        from repro.edgesim.fleet import FleetConfig, FleetSimulator, result_digest
 
         config = FleetConfig(
             n_nodes=args.nodes,
@@ -543,39 +543,17 @@ def _command_edgesim(args: argparse.Namespace) -> int:
         )
         import time as _time
 
-        if args.shards:
-            from repro.edgesim.shard import result_digest, run_fleet_sharded
-
-            wall0 = _time.perf_counter()
-            run = run_fleet_sharded(
-                config,
-                shards=args.shards,
-                groups=args.shard_groups,
-            )
-            wall = _time.perf_counter() - wall0
-            result = run.result
-            rate = result.events / wall if wall > 0 else float("inf")
-            print(
-                f"fleet: {result.n_nodes} nodes / {result.n_regions} regions, "
-                f"{result.duration_s:g}s simulated in {wall:.2f}s wall "
-                f"({rate:,.0f} events/s)"
-            )
-            print(
-                f"  sharded: {run.shards} shard(s) x {run.groups} region groups, "
-                f"{run.barrier_crossings} lookahead barrier crossings"
-            )
-            print(f"  digest: {result_digest(result)}")
-        else:
-            simulator = FleetSimulator(config)
-            wall0 = _time.perf_counter()
-            result = simulator.run()
-            wall = _time.perf_counter() - wall0
-            rate = result.events / wall if wall > 0 else float("inf")
-            print(
-                f"fleet: {result.n_nodes} nodes / {result.n_regions} regions, "
-                f"{result.duration_s:g}s simulated in {wall:.2f}s wall "
-                f"({rate:,.0f} events/s)"
-            )
+        simulator = FleetSimulator(config)
+        wall0 = _time.perf_counter()
+        result = simulator.run()
+        wall = _time.perf_counter() - wall0
+        rate = result.events / wall if wall > 0 else float("inf")
+        print(
+            f"fleet: {result.n_nodes} nodes / {result.n_regions} regions, "
+            f"{result.duration_s:g}s simulated in {wall:.2f}s wall "
+            f"({rate:,.0f} events/s)"
+        )
+        print(f"  digest: {result_digest(result)}")
         print(
             f"  arrivals {result.arrivals}  completed {result.completed}  "
             f"dropped {result.dropped}  redispatched {result.redispatched}"
@@ -846,21 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     edgesim.add_argument("--tasks", type=int, default=50, help="epoch tasks (non-fleet)")
     edgesim.add_argument("--nodes", type=int, default=1000, help="fleet size")
     edgesim.add_argument("--regions", type=int, default=8, help="fleet regions")
-    edgesim.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="region-sharded parallel fleet run across N worker processes "
-        "(0 = single-process engine; result is bitwise-identical for any N >= 1)",
-    )
-    edgesim.add_argument(
-        "--shard-groups",
-        type=int,
-        default=None,
-        dest="shard_groups",
-        help="region-group count for --shards (fixes the decomposition; "
-        "default min(regions, 16))",
-    )
     edgesim.add_argument("--duration-s", type=float, default=60.0, dest="duration_s")
     edgesim.add_argument(
         "--arrival-rate", type=float, default=30.0, help="fleet arrivals per second"
@@ -987,9 +950,16 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ConfigurationError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _run_with_telemetry(args)
+    try:
+        return _run_with_telemetry(args)
+    except ConfigurationError as error:
+        # An invalid flag value: one line and argparse's exit status.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from repro.core.dcta_system import DCTASystem, DCTASystemConfig
 from repro.core.experiment import build_allocators
 from repro.core.scenario import ScenarioConfig, SyntheticScenario
 from repro.edgesim.fleet import FleetConfig, FleetSimulator
-from repro.edgesim.shard import result_digest, run_fleet_sharded
 from repro.edgesim.simulator import EdgeSimulator
 from repro.edgesim.testbed import scaled_testbed
 from repro.importance.importance import ImportanceEvaluator
@@ -357,10 +356,8 @@ def run_bench(
 ) -> tuple[dict, list[str]]:
     """Run every registry entry; returns (results, human-readable notes).
 
-    ``jobs`` worker processes are warmed once up front so the fanned-out
-    (sharded fleet) benches measure steady-state dispatch, not spin-up;
-    the pool is shut down (and its shared segments released) before
-    returning.
+    ``jobs`` worker processes are warmed once up front; the pool is shut
+    down (and its shared segments released) before returning.
     """
     commit = bench_commit()
     rounds = max(1, rounds)
@@ -634,7 +631,7 @@ def _importance_check(runs):
 
 
 # ----------------------------------------------------------------------
-# Edge simulation: testbed epochs, the fleet, the sharded fleet
+# Edge simulation: testbed epochs and the fleet
 
 
 @contextlib.contextmanager
@@ -705,71 +702,20 @@ def _fleet_extras(run: Run, result) -> dict:
 def _fleet_setup():
     fleet_10k = FleetSimulator(_fleet_config(10_000, 5.0))
     fleet_100k = FleetSimulator(_fleet_config(100_000, 5.0))
-    yield {"edgesim_fleet_10k": fleet_10k.run, "edgesim_fleet_100k": fleet_100k.run}
-
-
-@contextlib.contextmanager
-def _sharded_setup():
-    """Region-sharded fleet runs at 100k and 1M nodes.
-
-    References: ``shards=1`` and ``shards=N`` digests of a 20k-node run
-    (``@forced``: ``shards=N`` always runs in worker processes, so the
-    identity covers the real multiprocess path) and, on >= 4 cores, a
-    ``shards=1`` run of the 100k config for the speedup gate.
-    """
-    shards = max(2, min(os.cpu_count() or 1, 8))
-    identity = _fleet_config(20_000, 3.0)
-    config_100k = _fleet_config(100_000, 5.0)
-    config_1m = _fleet_config(1_000_000, 2.0)
-    variants = {
-        "edgesim_fleet_sharded_100k": lambda: run_fleet_sharded(config_100k, shards=shards),
-        "edgesim_fleet_sharded_1m": lambda: run_fleet_sharded(config_1m, shards=shards),
-        "edgesim_fleet_sharded@shards1": lambda: result_digest(
-            run_fleet_sharded(identity, shards=1).result
-        ),
-        "edgesim_fleet_sharded@forced": lambda: result_digest(
-            run_fleet_sharded(identity, shards=shards).result
-        ),
+    fleet_1m = FleetSimulator(_fleet_config(1_000_000, 2.0))
+    yield {
+        "edgesim_fleet_10k": fleet_10k.run,
+        "edgesim_fleet_100k": fleet_100k.run,
+        "edgesim_fleet_1m": fleet_1m.run,
     }
-    if (os.cpu_count() or 1) >= 4:
-        variants["edgesim_fleet_sharded_100k@shards1"] = lambda: run_fleet_sharded(
-            config_100k, shards=1
-        )
-    yield variants
 
 
-def _sharded_speedup(runs) -> float | None:
-    serial = runs.get("edgesim_fleet_sharded_100k@shards1")
-    sharded = runs["edgesim_fleet_sharded_100k"]
-    if serial is None or sharded.last.shards <= 1:
-        return None
-    return serial.mean_s / max(sharded.mean_s, 1e-9)
-
-
-def _sharded_check(runs):
+def _fleet_check(runs):
     _require(
-        runs["edgesim_fleet_sharded@forced"].last == runs["edgesim_fleet_sharded@shards1"].last,
-        "sharded fleet run diverged from shards=1",
+        all(run.last.completed > 0 for run in runs.values()), "a fleet run completed no tasks"
     )
-    nodes = runs["edgesim_fleet_sharded_1m"].last.result.n_nodes
+    nodes = runs["edgesim_fleet_1m"].last.n_nodes
     _require(nodes == 1_000_000, f"1M bench ran {nodes} nodes")
-    speedup = _sharded_speedup(runs)
-    _require(speedup is None or speedup >= 2.0, f"sharded fleet only {speedup}x over shards=1")
-
-
-def _sharded_extras(runs):
-    extras = {}
-    for name in ("edgesim_fleet_sharded_100k", "edgesim_fleet_sharded_1m"):
-        sharded = runs[name].last
-        extras[name] = _fleet_extras(runs[name], sharded.result) | {
-            "shards": sharded.shards,
-            "groups": sharded.groups,
-            "barrier_crossings": sharded.barrier_crossings,
-        }
-    speedup = _sharded_speedup(runs)
-    if speedup is not None:
-        extras["edgesim_fleet_sharded_100k"]["speedup_vs_1shard"] = round(speedup, 2)
-    return extras
 
 
 # ----------------------------------------------------------------------
@@ -957,19 +903,10 @@ BENCHES: tuple[Bench, ...] = (
     ),
     Bench(("edgesim_epoch_run", "edgesim_epoch_run_failures"), _epoch_setup, _epoch_check),
     Bench(
-        ("edgesim_fleet_10k", "edgesim_fleet_100k"),
+        ("edgesim_fleet_10k", "edgesim_fleet_100k", "edgesim_fleet_1m"),
         _fleet_setup,
-        lambda runs: _require(
-            all(run.last.completed > 0 for run in runs.values()), "a fleet run completed no tasks"
-        ),
+        _fleet_check,
         lambda runs: {name: _fleet_extras(run, run.last) for name, run in runs.items()},
-        memory=True,
-    ),
-    Bench(
-        ("edgesim_fleet_sharded_100k", "edgesim_fleet_sharded_1m"),
-        _sharded_setup,
-        _sharded_check,
-        _sharded_extras,
         memory=True,
     ),
     Bench(

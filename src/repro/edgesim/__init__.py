@@ -13,13 +13,10 @@ earlier than importance-blind ones.
 
 :class:`EdgeSimulator` is the one engine for that epoch, including
 node failures and task dependencies. :class:`FleetSimulator` applies the
-same timing model to open-loop fleets of 10k-100k nodes with
+same timing model to open-loop fleets of 10k-1M nodes with
 hierarchical regional topologies, node churn, and O(nodes + windows)
 streaming metrics; it simulates a stream of arrivals, not a decision
-epoch. :func:`run_fleet_sharded` takes the fleet engine multiprocess:
-region groups run as independent conservative-DES shards on the worker
-pool and merge into one bitwise-deterministic :class:`FleetResult`,
-opening the 1M+ node regime.
+epoch. :func:`result_digest` pins a :class:`FleetResult` bitwise.
 """
 
 from repro.edgesim.node import EdgeNode, NODE_PRESETS, make_node
@@ -27,14 +24,7 @@ from repro.edgesim.network import RegionalNetwork, StarNetwork, SwitchedNetwork
 from repro.edgesim.events import CalendarQueue, Event, EventQueue
 from repro.edgesim.workload import FleetWorkload, SimTask, WorkloadGenerator
 from repro.edgesim.simulator import EdgeSimulator, ExecutionPlan, SimResult
-from repro.edgesim.fleet import FleetConfig, FleetResult, FleetSimulator
-from repro.edgesim.shard import (
-    LookaheadBarrier,
-    ShardedRun,
-    plan_groups,
-    result_digest,
-    run_fleet_sharded,
-)
+from repro.edgesim.fleet import FleetConfig, FleetResult, FleetSimulator, result_digest
 from repro.edgesim.energy import EnergyReport, energy_of_run, estimate_energy
 from repro.edgesim.trace import JsonlTraceSink, Trace, TraceEvent, TracingSimulator
 from repro.edgesim.testbed import paper_testbed, scaled_testbed
@@ -58,11 +48,7 @@ __all__ = [
     "FleetSimulator",
     "FleetConfig",
     "FleetResult",
-    "LookaheadBarrier",
-    "ShardedRun",
-    "plan_groups",
     "result_digest",
-    "run_fleet_sharded",
     "EnergyReport",
     "estimate_energy",
     "energy_of_run",

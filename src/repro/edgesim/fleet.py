@@ -22,6 +22,8 @@ is the one epoch engine.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,12 +191,6 @@ class FleetResult:
     window ring is the run's full metric trajectory; latency percentiles
     are bucket-interpolated estimates from a run-wide histogram, so no
     per-task record survives the run.
-
-    ``latency_state`` is the raw run-wide latency histogram as plain
-    picklable data ``(edges, bucket_counts, overflow, count, sum)``. The
-    sharded runner sums these states across region groups and re-derives
-    the merged percentiles from the summed buckets — exactly what a
-    single group covering the whole fleet would have computed.
     """
 
     n_nodes: int
@@ -213,7 +209,6 @@ class FleetResult:
     latency_p95_s: float
     latency_p99_s: float
     timeseries: TimeSeriesAggregator = field(repr=False)
-    latency_state: tuple | None = field(default=None, repr=False)
 
     @property
     def windows(self) -> list:
@@ -281,46 +276,20 @@ class _SlotPool:
 class FleetSimulator:
     """Open-loop fleet engine over structure-of-arrays node state.
 
-    Node state lives in numpy columns built from a :class:`FleetConfig`;
-    no per-node objects are materialized. ``s_per_bit`` and ``region``
-    override the default round-robin preset/region columns: the sharded
-    runner passes slices of the whole-fleet columns (attached zero-copy
-    from shared memory) so each region group sees exactly the node
-    population it would own in a single-process run. Callers passing
-    ``region`` are responsible for it being 0-based and dense over
-    ``config.n_regions``.
+    Node state lives in numpy columns built from a :class:`FleetConfig`
+    (presets cycle over the nodes, regions are assigned round-robin); no
+    per-node objects are materialized.
     """
 
-    def __init__(
-        self,
-        config: FleetConfig,
-        *,
-        s_per_bit: np.ndarray | None = None,
-        region: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, config: FleetConfig) -> None:
         self.network = config.network or RegionalNetwork(n_regions=config.n_regions)
         self._config = config
         n = config.n_nodes
-        if s_per_bit is None:
-            rates = np.asarray(
-                [NODE_PRESETS[p][0] for p in config.node_presets], dtype=np.float64
-            )
-            s_per_bit = rates[np.arange(n) % len(rates)]
-        else:
-            s_per_bit = np.ascontiguousarray(s_per_bit, dtype=np.float64)
-            if len(s_per_bit) != n:
-                raise ConfigurationError(
-                    f"s_per_bit column has {len(s_per_bit)} entries, config says {n}"
-                )
-        if region is None:
-            region = np.arange(n, dtype=np.int64) % config.n_regions
-        else:
-            region = np.ascontiguousarray(region, dtype=np.int64)
-            if len(region) != n:
-                raise ConfigurationError(
-                    f"region column has {len(region)} entries, config says {n}"
-                )
-        self._c_s_per_bit = s_per_bit
+        rates = np.asarray(
+            [NODE_PRESETS[p][0] for p in config.node_presets], dtype=np.float64
+        )
+        region = np.arange(n, dtype=np.int64) % config.n_regions
+        self._c_s_per_bit = rates[np.arange(n) % len(rates)]
         self._c_region = region
         # Region membership as CSR: region r's nodes, ascending, are
         # _members[_member_start[r] : _member_start[r] + _member_count[r]].
@@ -399,7 +368,7 @@ class FleetSimulator:
         ).inc(result.events)
         return result
 
-    def _run_fleet(self, *, trace=None, barrier=None) -> FleetResult:
+    def _run_fleet(self, *, trace=None) -> FleetResult:
         self._reset_nodes()
         config = self._config
         network: RegionalNetwork = self.network
@@ -573,18 +542,6 @@ class FleetSimulator:
 
         refill()
         while True:
-            if barrier is not None:
-                head = calendar.peek_time()
-                if head is not None:
-                    # Conservative sync: before draining past a lookahead
-                    # boundary, close metric windows at the boundary and
-                    # exchange any cross-group events with peers. The
-                    # crossing schedule is a pure function of config, so
-                    # every decomposition ticks identically.
-                    for boundary in barrier.crossings(head):
-                        sim_clock[0] = max(sim_clock[0], boundary)
-                        aggregator.maybe_tick()
-                        barrier.exchange(boundary)
             cohort = calendar.pop_cohort()
             if cohort is None:
                 break
@@ -722,11 +679,27 @@ class FleetSimulator:
             latency_p95_s=quantile(95.0),
             latency_p99_s=quantile(99.0),
             timeseries=aggregator,
-            latency_state=(
-                tuple(overall_latency.edges),
-                tuple(int(c) for c in overall_latency.bucket_counts),
-                int(overall_latency.overflow),
-                int(overall_latency.count),
-                float(overall_latency.sum),
-            ),
         )
+
+
+def result_digest(result: FleetResult) -> str:
+    """A short stable digest of a FleetResult, bitwise on floats.
+
+    Floats serialize via ``float.hex`` so two digests match iff every
+    scalar field and the full windowed timeseries are bit-for-bit equal:
+    the identity the fleet golden and the CI fleet smoke pin.
+    """
+    payload = {}
+    for name in (
+        "n_nodes", "n_regions", "arrivals", "completed", "dropped",
+        "redispatched", "failures", "recoveries", "events", "peak_in_flight",
+    ):
+        payload[name] = int(getattr(result, name))
+    for name in (
+        "duration_s", "latency_mean_s", "latency_p50_s",
+        "latency_p95_s", "latency_p99_s",
+    ):
+        payload[name] = float(getattr(result, name)).hex()
+    payload["timeseries"] = result.timeseries.to_jsonl()
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]

@@ -152,8 +152,8 @@ class FleetWorkload:
     Each column draws from its own substream derived from the seed, so the
     attribute stream is invariant to how arrivals are partitioned into
     chunks: ``draw_chunk(a)`` then ``draw_chunk(b)`` concatenates to
-    exactly ``draw_chunk(a + b)``. The sharded fleet runner leans on this
-    to keep results independent of the engine's refill chunk size.
+    exactly ``draw_chunk(a + b)``. The fleet engine leans on this to keep
+    results independent of its refill chunk size.
     """
 
     def __init__(

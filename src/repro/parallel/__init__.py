@@ -6,16 +6,15 @@ Three layers:
   pool singleton that runs ``min(jobs, tasks)`` workers (``pool.py``).
 - :class:`SharedArrayStore` / :class:`SharedBlobRef` — a plasma-style
   shared-memory data plane: publish large read-only inputs once, attach
-  zero-copy in every worker (``shm.py``). Only the sharded fleet runner
-  uses it.
+  zero-copy in every worker (``shm.py``). No library code uses it any
+  more; it stays while perfbench's tracer still patches it.
 - :class:`ParallelTrainer` — ordered, deterministic fan-out of picklable
   payloads over the pool, with worker telemetry merged back once per
   payload (``trainer.py``).
 
 Used by the Fig. 9 per-point sweep
-(:meth:`repro.core.experiment.PTExperiment.sweep_processors`), the
-multi-seed runner (:func:`repro.core.experiment.run_multiseed`) and the
-sharded fleet runner (:func:`repro.edgesim.shard.run_fleet_sharded`).
+(:meth:`repro.core.experiment.PTExperiment.sweep_processors`) and the
+multi-seed runner (:func:`repro.core.experiment.run_multiseed`).
 CRL trains its per-cluster agents in-process, in one lockstep pass.
 """
 

@@ -1,10 +1,9 @@
 """Shared-memory data plane for worker fan-outs (plasma-store style).
 
 Re-pickling the full payload of every task into every worker lets
-large read-only inputs — the sharded fleet runner's whole-fleet SoA
-node columns (:func:`repro.edgesim.shard.fleet_columns`, sliced per
-region group inside each worker), this module's one consumer —
-dominate dispatch cost. This module
+large read-only inputs dominate dispatch cost. No library code
+publishes through it any more (perfbench's tracer still patches
+:meth:`SharedArrayStore.share`). This module
 moves that data onto a zero-copy plane, the shape Ray's plasma store
 proved out (Moritz et al., see PAPERS.md):
 

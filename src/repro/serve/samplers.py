@@ -55,8 +55,8 @@ class PoissonSampler:
         than O(total arrivals). The chunked stream is draw-for-draw
         identical to repeated :meth:`next_gap` calls on a same-seed
         sampler, and invariant to how the draws are partitioned into
-        chunks — the contract the sharded fleet runner's chunk-size
-        independence rests on (pinned by ``tests/serve/test_samplers``).
+        chunks — the contract the fleet engine's chunk-size independence
+        rests on (pinned by ``tests/serve/test_samplers``).
         """
         if n < 0:
             raise ConfigurationError(f"n must be >= 0, got {n}")

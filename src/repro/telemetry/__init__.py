@@ -52,7 +52,6 @@ from repro.telemetry.timeseries import (
     TimeSeriesAggregator,
     WindowSnapshot,
     estimate_quantile,
-    merge_timeseries,
     parse_timeseries_jsonl,
     read_timeseries_jsonl,
     timeseries_table,
@@ -74,7 +73,6 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.bridge import (
     edgesim_timeseries,
-    merge_sim_timeseries,
     record_edgesim_trace,
 )
 from repro.telemetry.log import (
@@ -106,7 +104,6 @@ __all__ = [
     "TimeSeriesAggregator",
     "WindowSnapshot",
     "estimate_quantile",
-    "merge_timeseries",
     "parse_timeseries_jsonl",
     "read_timeseries_jsonl",
     "timeseries_table",
@@ -122,7 +119,6 @@ __all__ = [
     "to_prometheus",
     "write_metrics_json",
     "edgesim_timeseries",
-    "merge_sim_timeseries",
     "record_edgesim_trace",
     "KeyValueFormatter",
     "configure_logging",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import RunTrace, current_run_trace
-from repro.telemetry.timeseries import TimeSeriesAggregator, merge_timeseries
+from repro.telemetry.timeseries import TimeSeriesAggregator
 
 
 def record_edgesim_trace(
@@ -144,22 +144,3 @@ def sim_time_aggregator(
         **kwargs,
     )
     return registry, aggregator, sim_clock
-
-
-def merge_sim_timeseries(
-    sources: list,
-    *,
-    window_s: float = 10.0,
-    max_windows: int = 240,
-) -> TimeSeriesAggregator:
-    """Merge per-shard :func:`sim_time_aggregator` rings into one view.
-
-    ``sources`` are window lists (or aggregators) recorded on the same
-    simulated-time window grid — one per region group of a sharded fleet
-    run. Thin wrapper over
-    :func:`repro.telemetry.timeseries.merge_timeseries`; it exists here
-    so engine code keeps importing telemetry through the bridge. The
-    merge is deterministic in source order, which is what makes the
-    sharded runner's ``shards=1 == shards=N`` timeseries contract hold.
-    """
-    return merge_timeseries(sources, window_s=window_s, max_windows=max_windows)

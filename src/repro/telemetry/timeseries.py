@@ -382,135 +382,6 @@ def read_timeseries_jsonl(path) -> tuple[dict, list[WindowSnapshot]]:
         return parse_timeseries_jsonl(handle.read())
 
 
-def _merge_rows(
-    row_lists: list[list[dict]], width_s: float, quantiles: tuple[float, ...]
-) -> list[dict]:
-    """Merge one window's rows from several sources into combined rows.
-
-    Counters sum their deltas; histograms sum count/sum/overflow deltas
-    and their cumulative ``le`` maps, then re-derive mean, rate, and
-    quantile estimates from the summed buckets — exactly what one
-    registry observing all the sources' events would have recorded.
-    Gauges keep the last source's value (summing point-in-time values is
-    meaningless); merged rows appear in first-seen source order, so the
-    output is a pure function of the source list order.
-    """
-    merged: dict[tuple, dict] = {}
-    order: list[tuple] = []
-    for rows in row_lists:
-        for row in rows:
-            key = (
-                row["name"],
-                row["kind"],
-                tuple(sorted(row.get("labels", {}).items())),
-            )
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = {
-                    "name": row["name"],
-                    "kind": row["kind"],
-                    "labels": dict(row.get("labels", {})),
-                    **(
-                        {"delta": 0.0}
-                        if row["kind"] == "counter"
-                        else {"value": 0.0}
-                        if row["kind"] == "gauge"
-                        else {
-                            "count_delta": 0,
-                            "sum_delta": 0.0,
-                            "overflow_delta": 0,
-                            "le": {},
-                        }
-                    ),
-                }
-                order.append(key)
-                slot = merged[key]
-            if row["kind"] == "counter":
-                slot["delta"] += float(row["delta"])
-            elif row["kind"] == "gauge":
-                slot["value"] = float(row["value"])
-            else:
-                slot["count_delta"] += int(row["count_delta"])
-                slot["sum_delta"] += float(row["sum_delta"])
-                slot["overflow_delta"] += int(row.get("overflow_delta", 0))
-                le = slot["le"]
-                for edge, cumulative in row["le"].items():
-                    le[edge] = le.get(edge, 0) + int(cumulative)
-    out: list[dict] = []
-    for key in order:
-        slot = merged[key]
-        if slot["kind"] == "counter":
-            slot["rate_per_s"] = slot["delta"] / width_s if width_s > 0 else 0.0
-        elif slot["kind"] == "histogram":
-            count = slot["count_delta"]
-            slot["rate_per_s"] = count / width_s if width_s > 0 else 0.0
-            slot["mean"] = float(slot["sum_delta"] / count) if count else 0.0
-            edges = tuple(float(e) for e in slot["le"])
-            cumulative = list(slot["le"].values())
-            deltas = [
-                c - p for c, p in zip(cumulative, [0] + cumulative[:-1])
-            ]
-            for q in quantiles:
-                slot[f"p{q:g}".replace(".", "_")] = estimate_quantile(
-                    edges, deltas, slot["overflow_delta"], q
-                )
-        out.append(slot)
-    return out
-
-
-def merge_timeseries(
-    sources: list,
-    *,
-    window_s: float,
-    max_windows: int,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-) -> TimeSeriesAggregator:
-    """Fold several same-grid window streams into one aggregator view.
-
-    ``sources`` is a list of ``WindowSnapshot`` sequences (or
-    aggregators, whose ``windows`` are taken), all recorded on the same
-    ``window_s`` tumbling grid — the sharded fleet runner's per-group
-    rings. Windows are matched by index; each merged window's rows
-    combine per :func:`_merge_rows` and its ``end_s`` is the furthest
-    source end (sources that drained earlier simply contribute fewer
-    windows). The result is a plain :class:`TimeSeriesAggregator` whose
-    ring holds the merged windows, so ``to_jsonl`` / ``table`` / SLO
-    evaluation work unchanged. Deterministic: the output is a pure
-    function of the source streams and their order.
-    """
-    window_lists: list[list[WindowSnapshot]] = [
-        list(source.windows) if hasattr(source, "windows") else list(source)
-        for source in sources
-    ]
-    by_index: dict[int, list[WindowSnapshot]] = {}
-    for windows in window_lists:
-        for window in windows:
-            by_index.setdefault(int(window.index), []).append(window)
-    merged = TimeSeriesAggregator(
-        registry=NullRegistry(),
-        window_s=window_s,
-        max_windows=max_windows,
-        clock=lambda: 0.0,
-        quantiles=quantiles,
-    )
-    overflowed = max(0, len(by_index) - max_windows)
-    merged.dropped = overflowed
-    for index in sorted(by_index):
-        group = by_index[index]
-        start_s = min(w.start_s for w in group)
-        end_s = max(w.end_s for w in group)
-        merged.windows.append(
-            WindowSnapshot(
-                index=index,
-                start_s=start_s,
-                end_s=end_s,
-                rows=_merge_rows([w.rows for w in group], end_s - start_s, quantiles),
-            )
-        )
-        merged._open_index = index + 1
-    return merged
-
-
 def _rank_families(windows: list[WindowSnapshot]) -> tuple[list[str], list[str]]:
     """(counter families by total delta, histogram families by count)."""
     counter_totals: dict[str, float] = {}

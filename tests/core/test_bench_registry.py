@@ -36,8 +36,7 @@ TRACKED_NAMES = {
     "edgesim_epoch_run_failures",
     "edgesim_fleet_10k",
     "edgesim_fleet_100k",
-    "edgesim_fleet_sharded_100k",
-    "edgesim_fleet_sharded_1m",
+    "edgesim_fleet_1m",
     "plan_10x_uncached",
     "plan_10x_cold_cache",
     "plan_10x_warm_cache",
@@ -76,10 +75,6 @@ def _epoch(pt: float, *, tasks: int = 5, gate: bool = True):
 
 def _plans(*assignments):
     return lambda: [tuple(assignments)]
-
-
-def _sharded(shards: int = 1, nodes: int = 1_000_000):
-    return NS(shards=shards, result=NS(n_nodes=nodes))
 
 
 PLANS = [((0, 1), (1, 2))] * 10
@@ -121,12 +116,7 @@ GOOD = {
     "edgesim_fleet_10k": {
         "edgesim_fleet_10k": NS(completed=5),
         "edgesim_fleet_100k": NS(completed=50),
-    },
-    "edgesim_fleet_sharded_1m": {
-        "edgesim_fleet_sharded_100k": _sharded(nodes=100_000),
-        "edgesim_fleet_sharded_1m": _sharded(),
-        "edgesim_fleet_sharded@shards1": "9b3b66dd",
-        "edgesim_fleet_sharded@forced": "9b3b66dd",
+        "edgesim_fleet_1m": NS(completed=500, n_nodes=1_000_000),
     },
     "plan_10x_warm_cache": {
         "plan_10x_uncached": (PLANS, 10.0, None),
@@ -167,8 +157,8 @@ WRONG = [
     ("edgesim_epoch_run", "edgesim_epoch_run_failures@repeat", _epoch(12.5)),
     ("edgesim_epoch_run", "edgesim_epoch_run", _epoch(10.0, gate=False)),
     ("edgesim_fleet_10k", "edgesim_fleet_100k", NS(completed=0)),
-    ("edgesim_fleet_sharded_1m", "edgesim_fleet_sharded@forced", "0000beef"),
-    ("edgesim_fleet_sharded_1m", "edgesim_fleet_sharded_1m", _sharded(nodes=999_999)),
+    ("edgesim_fleet_10k", "edgesim_fleet_1m", NS(completed=500, n_nodes=999_999)),
+    ("edgesim_fleet_10k", "edgesim_fleet_1m", NS(completed=0, n_nodes=1_000_000)),
     ("plan_10x_warm_cache", "plan_10x_warm_cache", (PLANS, 1.0, 0.99)),
     ("plan_10x_warm_cache", "plan_10x_cold_cache", (PLANS[:9] + [((0, 2),)], 1.0, 0.9)),
     ("plan_10x_warm_cache", "plan_10x_uncached", (PLANS, 9.0, None)),
@@ -210,19 +200,6 @@ def test_check_raises_on_a_wrong_result(key, name, wrong):
     assert name in GOOD[key]
     with pytest.raises(AssertionError):
         _bench(key).check(_runs({**GOOD[key], name: wrong}))
-
-
-def test_sharded_speedup_gate_fires_when_shards_fan_out():
-    last = {
-        **GOOD["edgesim_fleet_sharded_1m"],
-        "edgesim_fleet_sharded_100k": _sharded(shards=4, nodes=100_000),
-        "edgesim_fleet_sharded_100k@shards1": _sharded(nodes=100_000),
-    }
-    check = _bench("edgesim_fleet_sharded_1m").check
-    serial = "edgesim_fleet_sharded_100k@shards1"
-    check(_runs(last, {serial: 1.0, "edgesim_fleet_sharded_100k": 0.4}))
-    with pytest.raises(AssertionError):
-        check(_runs(last, {serial: 1.0, "edgesim_fleet_sharded_100k": 0.8}))
 
 
 def test_timer_interleaves_and_runs_written_variants_to_the_minimum(monkeypatch):

@@ -4,12 +4,10 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/edgesim/golden/make_goldens.py
 
-Four fleet configs are pinned, each three ways:
+Four fleet configs are pinned, each two ways:
 
-* ``run_digest`` — :func:`~repro.edgesim.shard.result_digest` of
+* ``run_digest`` — :func:`~repro.edgesim.fleet.result_digest` of
   ``FleetSimulator(config).run()``;
-* ``sharded_digest`` — the same digest of
-  ``run_fleet_sharded(config, shards=1).result``;
 * ``trace_sha256`` — a SHA-256 over every completion span the run hands
   to a :class:`~repro.edgesim.trace.Trace` (task, node, start and end as
   ``float.hex``), so the node each task ran on and its exact completion
@@ -29,8 +27,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.edgesim.fleet import FleetConfig, FleetSimulator
-from repro.edgesim.shard import result_digest, run_fleet_sharded
+from repro.edgesim.fleet import FleetConfig, FleetSimulator, result_digest
 from repro.edgesim.trace import Trace
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "fleet_golden.json"
@@ -90,7 +87,6 @@ def case(name: str) -> dict:
         "dropped": result.dropped,
         "redispatched": result.redispatched,
         "run_digest": result_digest(result),
-        "sharded_digest": result_digest(run_fleet_sharded(config, shards=1).result),
         "trace_events": len(trace.events),
         "trace_sha256": trace_sha256(trace),
     }

@@ -145,28 +145,3 @@ def test_calendar_queue_mid_drain_schedules_keep_total_order(times, extra_gaps):
     assert len(drained) == next_id
     drained_times = [t for t, _ in drained]
     assert drained_times == sorted(drained_times)
-
-
-@given(_schedules)
-@settings(max_examples=100, deadline=None)
-def test_peek_time_previews_the_next_pop_without_advancing(times):
-    """``peek_time`` returns exactly the next pop's time and is pure: it
-    never advances the clock, consumes an event, or perturbs the drain
-    order (the conservative sharded runner peeks before every cohort)."""
-    calendar = CalendarQueue(bucket_s=1.0)
-    for index, time in enumerate(times):
-        calendar.schedule(time, 0, a=index)
-    drained = []
-    while True:
-        head = calendar.peek_time()
-        assert head == calendar.peek_time()  # idempotent
-        now_before = calendar.now
-        popped = calendar.pop_event()
-        if popped is None:
-            assert head is None
-            break
-        assert head == popped[0]
-        assert calendar.now >= now_before
-        drained.append(popped[2])
-    assert drained == sorted(range(len(times)), key=lambda i: (times[i], i))
-    assert calendar.peek_time() is None

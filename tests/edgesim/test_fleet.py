@@ -14,9 +14,9 @@ from repro.edgesim.fleet import (
     FleetSimulator,
     _segmented_fifo_ends,
     _SlotPool,
+    result_digest,
 )
 from repro.edgesim.network import RegionalNetwork
-from repro.edgesim.shard import result_digest
 from repro.errors import ConfigurationError
 
 
@@ -112,13 +112,6 @@ class TestFleetRun:
     def test_peak_in_flight_below_arrivals(self):
         result = _run(duration_s=30.0)
         assert 0 < result.peak_in_flight < result.arrivals
-
-    def test_node_columns_must_match_config(self):
-        config = FleetConfig(n_nodes=8, n_regions=2)
-        with pytest.raises(ConfigurationError):
-            FleetSimulator(config, s_per_bit=np.ones(7))
-        with pytest.raises(ConfigurationError):
-            FleetSimulator(config, region=np.zeros(9, dtype=np.int64))
 
 
 class TestFleetMemory:

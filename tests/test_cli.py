@@ -1,6 +1,7 @@
 """CLI smoke tests (fast subcommands only)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,47 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "DCTA" in out and "bandwidth_mbps" in out
+
+    def test_fleet_prints_the_golden_digest(self, capsys):
+        golden = json.loads(
+            (Path(__file__).parent / "edgesim" / "golden" / "fleet_golden.json").read_text()
+        )
+        config = golden["configs"]["ci_smoke"]
+        code = main(
+            [
+                "edgesim",
+                "--fleet",
+                "--nodes",
+                str(config["n_nodes"]),
+                "--regions",
+                str(config["n_regions"]),
+                "--arrival-rate",
+                str(config["arrival_rate_hz"]),
+                "--churn-rate",
+                str(config["churn_rate_hz"]),
+                "--duration-s",
+                str(config["duration_s"]),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"digest: {golden['cases']['ci_smoke']['run_digest']}" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["edgesim", "--fleet", "--nodes", "0"],
+            ["edgesim", "--fleet", "--regions", "2000", "--nodes", "100"],
+            ["edgesim", "--fleet", "--window-s", "0"],
+            ["fig9", "--tasks", "0"],
+        ],
+    )
+    def test_invalid_values_exit_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
 
 
 class TestTelemetryOutputs:
