@@ -26,11 +26,13 @@ def test_ablation_replay_strategy(benchmark):
             problem = longtail_instance(10, 2, seed=seed)
             optimal = branch_and_bound(problem).objective(problem)
             scores = {}
-            for label, buffer in (
-                ("uniform", None),
-                ("prioritized", PrioritizedReplayBuffer(capacity=20_000, seed=seed)),
-            ):
+            for label in ("uniform", "prioritized"):
                 env = AllocationEnv(problem)
+                buffer = None
+                if label == "prioritized":
+                    buffer = PrioritizedReplayBuffer(
+                        capacity=20_000, n_actions=env.n_actions, seed=seed
+                    )
                 agent = DQNAgent(
                     env.state_dim,
                     env.n_actions,

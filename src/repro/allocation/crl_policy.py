@@ -75,68 +75,3 @@ class CRLAllocator(Allocator):
             allocation_time=allocation_time,
             label=self.name,
         )
-
-    def plan_batch(
-        self,
-        workloads: Sequence[Sequence[SimTask]],
-        nodes: Sequence[EdgeNode],
-        contexts: Sequence[EpochContext],
-    ) -> list[ExecutionPlan]:
-        """Plan many epochs through one batched scoring pass.
-
-        ``workloads[i]`` is planned against ``contexts[i]``. All epochs'
-        selection scores come from a single
-        :meth:`CRLModel.selection_scores_batch` call, so the underlying
-        DQN rollouts run as lockstep batched episodes instead of one
-        rollout per epoch — the returned plans are identical to calling
-        :meth:`plan` per epoch, at a fraction of the per-plan overhead.
-        Each plan's ``allocation_time`` is the batch's amortized
-        per-epoch share.
-        """
-        workloads = [list(tasks) for tasks in workloads]
-        contexts = list(contexts)
-        if len(workloads) != len(contexts):
-            raise DataError(
-                f"got {len(workloads)} workloads but {len(contexts)} contexts"
-            )
-        if not workloads:
-            return []
-        for context in contexts:
-            if context is None or context.sensing is None:
-                raise ConfigurationError(
-                    f"{self.name} requires context.sensing (the Z vector)"
-                )
-        expected = self.model.geometry.n_tasks
-        for tasks in workloads:
-            if len(tasks) != expected:
-                raise DataError(
-                    f"workload has {len(tasks)} tasks but CRL geometry expects "
-                    f"{expected}"
-                )
-        started = time.perf_counter()
-        sensing_rows = [context.sensing for context in contexts]
-        if self.use_rl_selection:
-            score_rows = self.model.selection_scores_batch(sensing_rows)
-            scores_list = []
-            for i, sensing in enumerate(sensing_rows):
-                estimates = self.model.estimate_importance(sensing)
-                scores_list.append(
-                    score_rows[i]
-                    + 1e-6 * estimates / (float(estimates.max()) or 1.0)
-                )
-        else:
-            scores_list = [
-                self.model.estimate_importance(sensing) for sensing in sensing_rows
-            ]
-        allocation_time = (time.perf_counter() - started) / len(workloads)
-        return [
-            place_by_scores(
-                tasks,
-                nodes,
-                np.asarray(scores, dtype=float),
-                time_limit_s=self.model.geometry.time_limit,
-                allocation_time=allocation_time,
-                label=self.name,
-            )
-            for tasks, scores in zip(workloads, scores_list)
-        ]

@@ -7,7 +7,7 @@ Usage::
     python -m repro fig11 [--bandwidths 10 20 40 80 120]
     python -m repro longtail [--days 60]
     python -m repro pipeline [--days 30]
-    python -m repro bench    [--jobs 4 --check --threshold 1.25]
+    python -m repro bench    [--check --threshold 1.25]
     python -m repro serve    [--arrival-rate 500 --duration-s 2 --queue-depth 512]
     python -m repro loadgen  [--arrival-rate 2000 --duration-s 2]
     python -m repro top      [--endpoint http://127.0.0.1:9109 | --file timeseries.jsonl]
@@ -482,7 +482,7 @@ def _command_bench(args: argparse.Namespace) -> int:
             return 2
         for warning in baseline_warnings(baseline):
             print(f"bench --check: WARNING: {warning}", file=sys.stderr)
-    results, notes = run_bench(jobs=args.jobs, rounds=args.rounds, out=args.out)
+    results, notes = run_bench(rounds=args.rounds, out=args.out)
     print(bench_table(results))
     for note in notes:
         print(note)
@@ -768,9 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench", help="run tracked perf benchmarks and update BENCH_perf.json"
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=4, help="worker processes the pool warms before the benches"
     )
     bench.add_argument("--rounds", type=int, default=3, help="minimum timing rounds per bench")
     bench.add_argument(

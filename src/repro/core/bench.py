@@ -350,14 +350,13 @@ def peak_alloc_mib(fn: Callable[[], object]) -> float:
 
 def run_bench(
     *,
-    jobs: int = 4,
     rounds: int = 3,
     out: str | None = DEFAULT_BENCH_PATH,
 ) -> tuple[dict, list[str]]:
     """Run every registry entry; returns (results, human-readable notes).
 
-    ``jobs`` worker processes are warmed once up front; the pool is shut
-    down (and its shared segments released) before returning.
+    No bench fans out; should one start the worker pool anyway, the pool
+    is shut down (and its shared segments released) before returning.
     """
     commit = bench_commit()
     rounds = max(1, rounds)
@@ -369,8 +368,6 @@ def run_bench(
     registry = get_registry() if telemetry_enabled() else MetricsRegistry()
     try:
         with use_registry(registry):
-            if jobs > 1:
-                get_worker_pool().executor(jobs)
             for bench in BENCHES:
                 names = bench.names
                 with bench.setup() as variants:

@@ -128,9 +128,6 @@ class CalendarQueue:
         pending += sum(len(chunk[0]) for chunk in self._cur_pending)
         return pending
 
-    def _bucket_id(self, time: float) -> int:
-        return int(time / self.bucket_s)
-
     def schedule(self, time: float, kind: int, a: int = 0, b: int = 0) -> None:
         """Schedule one event at absolute ``time`` (clamped to now)."""
         self.schedule_batch(

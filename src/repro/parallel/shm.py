@@ -228,10 +228,6 @@ class SharedArrayStore:
         block = self._blocks.get(key)
         return block.refs if block is not None else 0
 
-    def ref_for(self, key: str) -> SharedBlobRef | None:
-        block = self._blocks.get(key)
-        return block.ref if block is not None else None
-
     def _segment_name(self) -> str:
         self._counter += 1
         return f"{SEGMENT_PREFIX}{self._pid}_{self._counter}"

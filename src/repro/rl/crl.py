@@ -452,64 +452,30 @@ class CRLModel:
     def allocate(self, sensing: np.ndarray) -> Allocation:
         """Prediction phase of Algorithm 1: u = F1((e, s0); θ*).
 
-        With an ambient :class:`~repro.tatim.cache.AllocationCache`
-        installed, the greedy rollout is memoized per (environment id,
-        quantized importance, geometry, store version): repeat queries
-        that quantize to the same environment return the cached
-        allocation without a rollout. Store mutations bump the version
-        (and clear watched caches), so stale environments can never hit.
+        A batch of one through :meth:`allocate_batch`, which holds the
+        one query path (kNN environment definition, cache lookup, greedy
+        rollout).
         """
-        self._require_fitted()
-        registry = get_registry()
-        with span("rl.crl.allocate", mode=self.mode):
-            importance = self.estimate_importance(sensing)
-            environment_key = self._environment_key(sensing)
-            cache = get_allocation_cache()
-            key = None
-            allocation = None
-            if cache is not None:
-                # Idempotent: covers caches installed after fit() ran.
-                cache.watch(self.store)
-                key = (
-                    "crl.allocate",
-                    self.mode,
-                    self.store.version,
-                    environment_key,
-                    cache.array_signature(importance),
-                    cache.problem_signature(self.geometry),
-                )
-                allocation = cache.get(key)
-            if allocation is None:
-                agent = self._agent_for_key(environment_key, importance)
-                env = AllocationEnv(self.geometry.scaled(importance=importance))
-                allocation = agent.solve(env)
-                registry.counter(
-                    "repro_rl_crl_rollouts_total",
-                    help="DQN greedy rollouts actually executed (cache misses)",
-                    mode=self.mode,
-                ).inc()
-                if key is not None:
-                    cache.put(key, allocation)
-        registry.counter(
-            "repro_rl_crl_allocations_total",
-            help="CRL allocation queries answered",
-            mode=self.mode,
-        ).inc()
-        return allocation
+        return self.allocate_batch([sensing])[0]
 
     def allocate_batch(self, sensing_rows) -> list[Allocation]:
-        """Answer many allocation queries with batched greedy rollouts.
+        """Answer allocation queries: kNN environment definition, then rollouts.
 
-        Queries are grouped by the environment they map to (in
-        first-occurrence order, so online-mode lazy training consumes
-        the model RNG exactly as the serial loop would) and each group's
-        rollouts run through :meth:`DQNAgent.solve_greedy_batch` — one
-        batched kernel instead of one rollout loop per query. With an
-        ambient :class:`~repro.tatim.cache.AllocationCache`, hits skip
-        the rollout and duplicate keys within the batch solve once, just
-        as repeat queries would against a warming cache. The returned
-        allocations are byte-identical to
-        ``[self.allocate(z) for z in sensing_rows]``.
+        With an ambient :class:`~repro.tatim.cache.AllocationCache`
+        installed, each greedy rollout is memoized per (environment id,
+        quantized importance, geometry, store version): repeat queries
+        that quantize to the same environment return the cached
+        allocation without a rollout, and duplicate keys within a batch
+        solve once. Store mutations bump the version (and clear watched
+        caches), so stale environments can never hit.
+
+        Cache misses are grouped by the environment they map to, in
+        first-occurrence order, so online-mode lazy training draws from
+        the model RNG in query order. A group of several rollouts runs
+        through :meth:`DQNAgent.solve_greedy_batch`, one batched kernel
+        instead of one rollout loop per query; a single rollout takes
+        :meth:`DQNAgent.solve`, which is faster for one episode. Both
+        give the same allocation.
         """
         self._require_fitted()
         rows = [np.asarray(row, dtype=float) for row in sensing_rows]
@@ -519,18 +485,19 @@ class CRLModel:
         results: list[Allocation | None] = [None] * len(rows)
         cache = get_allocation_cache()
         if cache is not None:
+            # Idempotent: covers caches installed after fit() ran.
             cache.watch(self.store)
-        with span("rl.crl.allocate_batch", mode=self.mode, queries=len(rows)):
-            # Group cache misses per environment, deduping by cache key
-            # (first occurrence solves; later duplicates reuse it, which
-            # is what the serial loop's warming cache would do).
+        with span("rl.crl.allocate", mode=self.mode, queries=len(rows)):
+            # Group cache misses per environment, deduping by cache key:
+            # the first occurrence solves and later duplicates reuse it,
+            # as a warming cache would answer them one query at a time.
             groups: dict = {}
             for i, sensing in enumerate(rows):
                 importance = self.estimate_importance(sensing)
                 environment_key = self._environment_key(sensing)
-                key = None
+                dedup_key = ("query", i)
                 if cache is not None:
-                    key = (
+                    dedup_key = (
                         "crl.allocate",
                         self.mode,
                         self.store.version,
@@ -538,22 +505,13 @@ class CRLModel:
                         cache.array_signature(importance),
                         cache.problem_signature(self.geometry),
                     )
-                    allocation = cache.get(key)
+                    allocation = cache.get(dedup_key)
                     if allocation is not None:
                         results[i] = allocation
                         continue
                 group = groups.setdefault(environment_key, {})
-                dedup_key = key if key is not None else ("query", i)
-                entry = group.get(dedup_key)
-                if entry is None:
-                    group[dedup_key] = (importance, [i])
-                else:
-                    entry[1].append(i)
-            rollout_counter = registry.counter(
-                "repro_rl_crl_rollouts_total",
-                help="DQN greedy rollouts actually executed (cache misses)",
-                mode=self.mode,
-            )
+                group.setdefault(dedup_key, (importance, []))[1].append(i)
+            rollouts = 0
             for environment_key, group in groups.items():
                 entries = list(group.items())
                 first_importance = entries[0][1][0]
@@ -566,21 +524,22 @@ class CRLModel:
                     allocations = agent.solve_greedy_batch(envs)
                 else:
                     allocations = [agent.solve(envs[0])]
+                rollouts += len(allocations)
                 for (dedup_key, (_, indices)), allocation in zip(entries, allocations):
-                    rollout_counter.inc()
-                    if cache is not None and not (
-                        isinstance(dedup_key, tuple) and dedup_key[0] == "query"
-                    ):
+                    if cache is not None:
                         cache.put(dedup_key, allocation)
                     for i in indices:
                         results[i] = allocation
-        allocation_counter = registry.counter(
+        registry.counter(
+            "repro_rl_crl_rollouts_total",
+            help="DQN greedy rollouts actually executed (cache misses)",
+            mode=self.mode,
+        ).inc(rollouts)
+        registry.counter(
             "repro_rl_crl_allocations_total",
             help="CRL allocation queries answered",
             mode=self.mode,
-        )
-        for _ in rows:
-            allocation_counter.inc()
+        ).inc(len(rows))
         return results
 
     def selection_scores(self, sensing: np.ndarray) -> np.ndarray:
@@ -595,22 +554,3 @@ class CRLModel:
         scale = float(importance.max()) or 1.0
         selected = allocation.matrix.sum(axis=1).astype(float)
         return selected * importance / scale
-
-    def selection_scores_batch(self, sensing_rows) -> np.ndarray:
-        """Stacked :meth:`selection_scores` for many queries at once.
-
-        One :meth:`allocate_batch` call answers every query's rollout;
-        the per-row score arithmetic is unchanged, so row ``i`` equals
-        ``selection_scores(sensing_rows[i])`` bit for bit.
-        """
-        rows = [np.asarray(row, dtype=float) for row in sensing_rows]
-        if not rows:
-            return np.zeros((0, self.geometry.n_tasks))
-        allocations = self.allocate_batch(rows)
-        scores = np.empty((len(rows), self.geometry.n_tasks))
-        for i, (sensing, allocation) in enumerate(zip(rows, allocations)):
-            importance = self.estimate_importance(sensing)
-            scale = float(importance.max()) or 1.0
-            selected = allocation.matrix.sum(axis=1).astype(float)
-            scores[i] = selected * importance / scale
-        return scores

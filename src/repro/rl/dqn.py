@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.ml.neural import MLP, Adam
 from repro.rl.env import AllocationEnv, BatchedAllocationEnv
-from repro.rl.replay import ReplayBuffer, Transition, TransitionBatch
+from repro.rl.replay import ReplayBuffer, Transition
 from repro.tatim.solution import Allocation
 from repro.telemetry import get_registry, span
 from repro.utils.rng import as_rng
@@ -74,8 +74,10 @@ class DQNAgent:
     ) -> None:
         """``buffer`` optionally injects a replay implementation (e.g.
         :class:`repro.rl.prioritized.PrioritizedReplayBuffer`); anything
-        with push/sample_batch — and optionally last_sample_weights /
-        update_priorities for prioritized variants — works.
+        with push/sample_batch returning a
+        :class:`~repro.rl.replay.TransitionBatch` — and optionally
+        last_sample_weights / update_priorities for prioritized variants —
+        works.
 
         ``epsilon_schedule`` optionally overrides the config's
         multiplicative decay with an explicit
@@ -139,31 +141,6 @@ class DQNAgent:
         return int(np.argmax(mask))
 
     # ------------------------------------------------------------------
-    def _feasible_mask_matrix(self, batch) -> np.ndarray:
-        """Additive mask (0 feasible, MASKED_Q infeasible) for the whole batch.
-
-        Buffers that know the action-space width hand back a boolean
-        legality matrix, turned into the additive mask with one
-        ``np.where``; otherwise the ragged feasible-index store is
-        scattered over flattened (row, action) index arrays — no
-        per-transition Python loop either way. Accepts a
-        :class:`TransitionBatch` or a plain transition list.
-        """
-        if isinstance(batch, list):
-            batch = TransitionBatch.from_transitions(batch)
-        if batch.feasible_mask is not None:
-            return np.where(batch.feasible_mask, 0.0, MASKED_Q)
-        count = len(batch)
-        mask = np.full((count, self.n_actions), MASKED_Q)
-        sizes = np.fromiter(
-            (f.size for f in batch.next_feasible), dtype=np.intp, count=count
-        )
-        if sizes.any():
-            rows = np.repeat(np.arange(count), sizes)
-            cols = np.concatenate(batch.next_feasible)
-            mask[rows, cols] = 0.0
-        return mask
-
     def train_step(self) -> float | None:
         """One gradient step on a replay batch; None during warmup."""
         if len(self.buffer) < self.config.warmup_transitions:
@@ -171,7 +148,7 @@ class DQNAgent:
         batch = self.buffer.sample_batch(self.config.batch_size)
         count = len(batch)
 
-        mask = self._feasible_mask_matrix(batch)
+        mask = np.where(batch.feasible_mask, 0.0, MASKED_Q)
         target_q = self.target.forward(batch.next_states) + mask
         if self.config.double_q:
             # Double DQN: online net picks the action, target net scores it.

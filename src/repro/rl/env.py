@@ -251,7 +251,7 @@ class BatchedAllocationEnv:
     ``tests/rl/test_kernel_identity.py`` pin this.
     """
 
-    def __init__(self, problems, *, dense_reward: bool = False) -> None:
+    def __init__(self, problems) -> None:
         problems = list(problems)
         if not problems:
             raise ConfigurationError("BatchedAllocationEnv needs at least one problem")
@@ -265,7 +265,6 @@ class BatchedAllocationEnv:
                     "batched episodes must share the (n_tasks, n_processors) geometry"
                 )
         self.problems = problems
-        self.dense_reward = bool(dense_reward)
         self.n_tasks = first.n_tasks
         self.n_processors = first.n_processors
         n, m = self.n_tasks, self.n_processors
@@ -453,8 +452,6 @@ class BatchedAllocationEnv:
                 self._remaining_capacity[assign_rows, current]
                 / self._capacities[assign_rows, current]
             )
-            if self.dense_reward:
-                rewards[~closing] = self._importance[assign_rows, tasks]
         close_rows = rows[closing]
         if close_rows.size:
             current = self._current[close_rows]
@@ -465,14 +462,11 @@ class BatchedAllocationEnv:
             finished_rows = close_rows[finished]
             if finished_rows.size:
                 self._done[finished_rows] = True
-                if not self.dense_reward:
-                    # Terminal reward per finished row: the same
-                    # gather-then-sum as the serial total_importance().
-                    closing_positions = np.flatnonzero(closing)
-                    for position, row in zip(
-                        closing_positions[finished], finished_rows
-                    ):
-                        rewards[position] = self.total_importance(int(row))
+                # Terminal reward per finished row: the same
+                # gather-then-sum as the serial total_importance().
+                closing_positions = np.flatnonzero(closing)
+                for position, row in zip(closing_positions[finished], finished_rows):
+                    rewards[position] = self.total_importance(int(row))
             open_rows = close_rows[~finished]
             if open_rows.size:
                 buf[open_rows, self._off_onehot + self._current[open_rows]] = 1.0

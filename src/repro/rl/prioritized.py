@@ -5,8 +5,8 @@ that actually carry reward signal are rare in a uniform sample. Prioritized
 replay samples transitions proportionally to their last TD error
 (p_i = (|δ_i| + ε)^α) and corrects the induced bias with importance-
 sampling weights w_i = (N·P(i))^{-β}. Drop-in alternative to
-:class:`repro.rl.replay.ReplayBuffer` via the shared push/sample surface;
-the DQN agent applies the weights when the buffer provides them.
+:class:`repro.rl.replay.ReplayBuffer` via the shared push/sample_batch
+surface; the DQN agent applies the weights when the buffer provides them.
 
 Storage rides on the same structure-of-arrays backing store as the
 uniform buffer (:class:`repro.rl.replay._SoAStorage`), with priorities in
@@ -38,7 +38,7 @@ class PrioritizedReplayBuffer:
     epsilon:
         Priority floor so zero-error transitions stay sampleable.
     n_actions:
-        Optional action-space width enabling the feasible-mask fast path
+        Action-space width (>= 1) of the stored feasible-mask matrix
         (see :class:`repro.rl.replay.ReplayBuffer`).
     """
 
@@ -49,22 +49,20 @@ class PrioritizedReplayBuffer:
         alpha: float = 0.6,
         beta: float = 0.4,
         epsilon: float = 1e-3,
-        n_actions: int | None = None,
+        n_actions: int,
         seed=None,
     ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
         if not 0.0 <= beta <= 1.0:
             raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        self._storage = _SoAStorage(capacity, n_actions=n_actions)
         self.capacity = int(capacity)
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.epsilon = float(epsilon)
-        self._storage = _SoAStorage(capacity, n_actions)
         self._priorities = np.empty(min(self.capacity, 1024), dtype=float)
         self._max_priority = 1.0
         self._rng = as_rng(seed)
@@ -100,12 +98,8 @@ class PrioritizedReplayBuffer:
         self._last_probabilities = probabilities[indices]
         return indices
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        """Priority-proportional sample; records indices for the update."""
-        return self._storage.gather_transitions(self._sample_indices(batch_size))
-
     def sample_batch(self, batch_size: int) -> TransitionBatch:
-        """Priority-proportional sample as column matrices (fast path)."""
+        """Priority-proportional sample; records indices for the update."""
         return self._storage.gather_batch(self._sample_indices(batch_size))
 
     def last_sample_weights(self) -> np.ndarray:

@@ -46,9 +46,6 @@ class QLearningAgent:
     def _key(state: np.ndarray) -> bytes:
         return np.round(state, 6).tobytes()
 
-    def q_value(self, state: np.ndarray, action: int) -> float:
-        return self._q.get((self._key(state), int(action)), 0.0)
-
     def best_action(self, state: np.ndarray, feasible: np.ndarray) -> int:
         # Hash the state once, not once per candidate action: the key is a
         # full-vector round + serialize, the lookups are cheap dict gets.

@@ -60,11 +60,9 @@ class LockstepTrainer:
     episodes:
         Episode budget — an int applied to every agent, or one int per
         agent.
-    dense_reward:
-        Forwarded to the batched environment (ablation mode).
     """
 
-    def __init__(self, agents, problems, *, episodes, dense_reward: bool = False) -> None:
+    def __init__(self, agents, problems, *, episodes) -> None:
         self.agents: list[DQNAgent] = list(agents)
         self.problems = list(problems)
         if not self.agents or len(self.agents) != len(self.problems):
@@ -81,7 +79,6 @@ class LockstepTrainer:
                 raise ConfigurationError("need one episode budget per agent")
         if np.any(self._episodes < 1):
             raise ConfigurationError("episode budgets must be >= 1")
-        self.dense_reward = bool(dense_reward)
 
     # ------------------------------------------------------------------
     def _fusable(self) -> bool:
@@ -89,9 +86,9 @@ class LockstepTrainer:
 
         Conservative and static: identical configs (so step counters,
         train cadence and batch sizes stay in sync while all agents are
-        live), plain uniform replay with a known action-space width (the
-        fused step needs the boolean legality matrix and must not touch
-        prioritized bookkeeping), and ``warmup >= batch_size`` (so every
+        live), plain uniform replay (the fused step gathers straight into
+        its stacked arrays and must not touch prioritized bookkeeping),
+        and ``warmup >= batch_size`` (so every
         sampled batch has exactly ``batch_size`` rows).
         """
         first = self.agents[0]
@@ -103,15 +100,13 @@ class LockstepTrainer:
                 buffer, "update_priorities"
             ):
                 return False
-            if getattr(buffer._storage, "n_actions", None) is None:
-                return False
         return first.config.warmup_transitions >= first.config.batch_size
 
     def train(self) -> list[np.ndarray]:
         """Run every agent to its episode budget; per-agent episode returns."""
         agents = self.agents
         count = len(agents)
-        env = BatchedAllocationEnv(self.problems, dense_reward=self.dense_reward)
+        env = BatchedAllocationEnv(self.problems)
         online_stack: StackedNetworks | None = None
         target_stack: StackedNetworks | None = None
         joint_stack: StackedNetworks | None = None
@@ -148,7 +143,6 @@ class LockstepTrainer:
         column_push = [
             isinstance(agent.buffer, ReplayBuffer)
             and not hasattr(agent.buffer, "update_priorities")
-            and agent.buffer._storage.n_actions is not None
             for agent in agents
         ]
         if fused:

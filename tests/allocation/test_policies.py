@@ -54,30 +54,6 @@ class TestCRLAllocator:
         plan = allocators["CRL"].plan(workload, nodes, context)
         assert plan.allocation_time > 0.0
 
-    def test_plan_batch_matches_serial_plans(self, trained):
-        """One batched rollout sweep must assign exactly what per-epoch
-        plan() calls assign."""
-        scenario, nodes, _, allocators = trained
-        epochs = scenario.eval_epochs[:3]
-        workloads = [scenario.workload_for(epoch) for epoch in epochs]
-        contexts = [EpochContext(sensing=epoch.sensing) for epoch in epochs]
-        serial = [
-            allocators["CRL"].plan(workload, nodes, context)
-            for workload, context in zip(workloads, contexts)
-        ]
-        batched = allocators["CRL"].plan_batch(workloads, nodes, contexts)
-        assert len(batched) == len(serial)
-        for expected, actual in zip(serial, batched):
-            assert actual.assignments == expected.assignments
-            assert actual.allocation_time > 0.0
-
-    def test_plan_batch_validates_lengths(self, trained):
-        scenario, nodes, _, allocators = trained
-        epoch = scenario.eval_epochs[0]
-        workloads = [scenario.workload_for(epoch)]
-        with pytest.raises(DataError):
-            allocators["CRL"].plan_batch(workloads, nodes, [])
-
 
 class TestDCTAAllocator:
     def test_requires_features(self, trained):

@@ -59,7 +59,7 @@ def run_case(name: str, *, double_q: bool = False, prioritized: bool = False) ->
         double_q=double_q,
     )
     buffer = (
-        PrioritizedReplayBuffer(config.buffer_capacity, seed=123)
+        PrioritizedReplayBuffer(config.buffer_capacity, n_actions=env.n_actions, seed=123)
         if prioritized
         else None
     )

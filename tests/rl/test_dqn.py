@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rl.dqn import MASKED_Q, DQNAgent, DQNConfig
+from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.env import AllocationEnv
+from repro.rl.replay import Transition
 from repro.tatim.exact import branch_and_bound
 from repro.tatim.generators import random_instance
 
@@ -87,17 +88,36 @@ class TestTraining:
 
     def test_masked_q_blocks_infeasible_backup(self, small_env):
         """Infeasible actions never contribute to the Bellman max."""
-        agent = DQNAgent(small_env.state_dim, small_env.n_actions, seed=0)
-        from repro.rl.replay import Transition
-
-        transition = Transition(
-            state=small_env.reset(),
-            action=0,
-            reward=0.0,
-            next_state=small_env.reset(),
-            done=False,
-            next_feasible=np.array([1]),
+        config = DQNConfig(hidden_sizes=(8,), batch_size=1, warmup_transitions=1, gamma=1.0)
+        agent = DQNAgent(small_env.state_dim, small_env.n_actions, config, seed=0)
+        state = small_env.reset()
+        agent.buffer.push(
+            Transition(
+                state=state,
+                action=0,
+                reward=0.0,
+                next_state=state,
+                done=False,
+                next_feasible=np.array([1]),
+            )
         )
-        mask = agent._feasible_mask_matrix([transition])
-        assert mask[0, 1] == 0.0
-        assert mask[0, 0] == MASKED_Q
+        batch = agent.buffer.sample_batch(1)
+        assert batch.feasible_mask[0].tolist() == [
+            action == 1 for action in range(small_env.n_actions)
+        ]
+        # Make action 0 the unmasked argmax at s', then check the target
+        # the step regresses Q(s, 0) onto is Q_target(s', 1), not the max.
+        target_q = agent.target.forward(state.reshape(1, -1)).ravel()
+        agent.target.biases[-1][0] += target_q.max() - target_q.min() + 100.0
+        target_q = agent.target.forward(state.reshape(1, -1)).ravel()
+        assert int(target_q.argmax()) == 0
+        captured = {}
+        train_from_cache = agent.online.train_from_cache
+
+        def capture(targets):
+            captured["targets"] = targets.copy()
+            return train_from_cache(targets)
+
+        agent.online.train_from_cache = capture
+        agent.train_step()
+        assert captured["targets"][0, 0] == target_q[1]

@@ -10,7 +10,8 @@ Three layers of evidence:
   the incremental state buffer and feasibility set against a
   from-scratch rebuild after every step;
 - a parity test driving the SoA-backed buffers and a minimal list-backed
-  reference with the same RNG, comparing samples element-for-element;
+  reference with the same RNG, comparing sampled batches element for
+  element;
 - a golden test re-running full DQN trainings (uniform, double-Q,
   prioritized) and comparing per-episode returns bitwise (IEEE-754 hex),
   final greedy allocations, and a SHA-256 over the trained parameters
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.env import AllocationEnv, BatchedAllocationEnv, _TOL
 from repro.rl.prioritized import PrioritizedReplayBuffer
-from repro.rl.replay import ReplayBuffer, Transition, TransitionBatch
+from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.stacked import LockstepTrainer
 from repro.tatim.generators import random_instance
 
@@ -143,15 +144,16 @@ def _random_transitions(seed: int, count: int, state_dim=6, n_actions=5):
     ]
 
 
-def _assert_transitions_equal(ours: list, reference: list) -> None:
-    assert len(ours) == len(reference)
-    for a, b in zip(ours, reference):
-        assert np.array_equal(a.state, b.state)
-        assert a.action == b.action
-        assert a.reward == b.reward
-        assert np.array_equal(a.next_state, b.next_state)
-        assert a.done == b.done
-        assert np.array_equal(a.next_feasible, b.next_feasible)
+def _assert_batch_matches(batch, reference: list) -> None:
+    """A sampled column batch holds exactly the reference transitions."""
+    assert len(batch) == len(reference)
+    assert np.array_equal(batch.states, np.stack([t.state for t in reference]))
+    assert np.array_equal(batch.actions, [t.action for t in reference])
+    assert np.array_equal(batch.rewards, [t.reward for t in reference])
+    assert np.array_equal(batch.next_states, np.stack([t.next_state for t in reference]))
+    assert np.array_equal(batch.dones, [t.done for t in reference])
+    for row, t in zip(batch.feasible_mask, reference):
+        assert np.array_equal(np.flatnonzero(row), np.sort(t.next_feasible))
 
 
 @pytest.mark.parametrize(
@@ -159,60 +161,39 @@ def _assert_transitions_equal(ours: list, reference: list) -> None:
     [(128, 300), (1000, 600)],  # ring wrap-around / lazy column growth
 )
 def test_soa_sample_matches_list_backed(capacity, pushes):
-    soa = ReplayBuffer(capacity, seed=42)
+    """sample_batch consumes the RNG like the list-backed reference and
+    returns its rows, columnized, with each feasible-index list as a mask."""
+    soa = ReplayBuffer(capacity, n_actions=5, seed=42)
     reference = _ListReplay(capacity, seed=42)
     for transition in _random_transitions(3, pushes):
         soa.push(transition)
         reference.push(transition)
     assert len(soa) == len(reference)
     for _ in range(10):
-        _assert_transitions_equal(soa.sample(32), reference.sample(32))
-
-
-def test_sample_batch_matches_sample_rng_and_content():
-    """sample_batch must consume the RNG exactly like sample and return
-    the same rows, columnized."""
-    columns = ReplayBuffer(128, n_actions=5, seed=9)
-    listed = ReplayBuffer(128, n_actions=5, seed=9)
-    for transition in _random_transitions(4, 200):
-        columns.push(transition)
-        listed.push(transition)
-    for _ in range(5):
-        batch = columns.sample_batch(32)
-        expected = TransitionBatch.from_transitions(listed.sample(32))
-        assert np.array_equal(batch.states, expected.states)
-        assert np.array_equal(batch.actions, expected.actions)
-        assert np.array_equal(batch.rewards, expected.rewards)
-        assert np.array_equal(batch.next_states, expected.next_states)
-        assert np.array_equal(batch.dones, expected.dones)
-        assert batch.feasible_mask is not None
-        for row, feasible in zip(batch.feasible_mask, expected.next_feasible):
-            assert np.array_equal(np.flatnonzero(row), np.sort(feasible))
+        _assert_batch_matches(soa.sample_batch(32), reference.sample(32))
 
 
 def test_prioritized_sample_entry_points_agree():
-    """Both prioritized entry points must draw the same rows under the
-    same priority updates — the fast path changes layout, not sampling."""
-    via_lists = PrioritizedReplayBuffer(256, seed=7)
-    via_columns = PrioritizedReplayBuffer(256, n_actions=5, seed=7)
-    for transition in _random_transitions(5, 120):
-        via_lists.push(transition)
-        via_columns.push(transition)
+    """Prioritized sample_batch returns the rows at the recorded sample
+    indices, and the same seed draws the same rows and IS weights under
+    the same priority updates."""
+    pushed = _random_transitions(5, 120)
+    first = PrioritizedReplayBuffer(256, n_actions=5, seed=7)
+    second = PrioritizedReplayBuffer(256, n_actions=5, seed=7)
+    for transition in pushed:
+        first.push(transition)
+        second.push(transition)
     errors_rng = np.random.default_rng(11)
     for _ in range(6):
-        sampled = via_lists.sample(16)
-        batch = via_columns.sample_batch(16)
-        assert np.array_equal(via_lists._last_indices, via_columns._last_indices)
-        assert np.array_equal(
-            via_lists.last_sample_weights(), via_columns.last_sample_weights()
-        )
-        assert len(batch) == len(sampled)
-        _assert_transitions_equal(
-            sampled, via_columns._storage.gather_transitions(via_columns._last_indices)
-        )
+        batch = first.sample_batch(16)
+        again = second.sample_batch(16)
+        assert np.array_equal(first._last_indices, second._last_indices)
+        assert np.array_equal(first.last_sample_weights(), second.last_sample_weights())
+        _assert_batch_matches(batch, [pushed[int(i)] for i in first._last_indices])
+        _assert_batch_matches(again, [pushed[int(i)] for i in first._last_indices])
         errors = errors_rng.normal(size=16)
-        via_lists.update_priorities(errors)
-        via_columns.update_priorities(errors)
+        first.update_priorities(errors)
+        second.update_priorities(errors)
 
 
 # ----------------------------------------------------------------------
