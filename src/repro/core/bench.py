@@ -879,6 +879,7 @@ BENCHES: tuple[Bench, ...] = (
             == _crl_params_sha(runs["crl_train_unstacked"].last),
             "stacked CRL training diverged from per-agent training",
         ),
+        memory=True,
     ),
     Bench(
         ("dqn_train_step_x200", "dqn_train_episode_x10", "dqn_solve_greedy_x20",

@@ -20,6 +20,7 @@ mis-prices tasks. CRL instead
 from __future__ import annotations
 
 import time
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,7 @@ def push_demonstration(agent: DQNAgent, env: AllocationEnv, problem: TATIMProble
     demo = density_greedy(problem)
     assignment = demo.as_assignment()
     state = env.reset()
+    agent.buffer.bind_fixed_block(*env.fixed_block())
     plan: list[int] = []
     for processor in range(problem.n_processors):
         plan.extend(task for task, host in sorted(assignment.items()) if host == processor)
@@ -272,6 +274,10 @@ class CRLModel:
         self.seed_demonstrations = bool(seed_demonstrations)
         self.dqn_config = dqn_config if dqn_config is not None else DQNConfig()
         self._rng = as_rng(seed)
+        # Names this model in allocation-cache keys, so models fitted on
+        # equal stores never share entries. Drawn from the OS, not the
+        # model RNG, so it cannot shift the seeded streams; pickling keeps it.
+        self._cache_token = uuid.uuid4().hex
         self.store: EnvironmentStore | None = None
         self._kmeans: KMeans | None = None
         self._cluster_agents: dict[int, DQNAgent] = {}
@@ -462,8 +468,8 @@ class CRLModel:
         """Answer allocation queries: kNN environment definition, then rollouts.
 
         With an ambient :class:`~repro.tatim.cache.AllocationCache`
-        installed, each greedy rollout is memoized per (environment id,
-        quantized importance, geometry, store version): repeat queries
+        installed, each greedy rollout is memoized per (model, environment
+        id, quantized importance, geometry, store version): repeat queries
         that quantize to the same environment return the cached
         allocation without a rollout, and duplicate keys within a batch
         solve once. Store mutations bump the version (and clear watched
@@ -499,6 +505,7 @@ class CRLModel:
                 if cache is not None:
                     dedup_key = (
                         "crl.allocate",
+                        self._cache_token,
                         self.mode,
                         self.store.version,
                         environment_key,

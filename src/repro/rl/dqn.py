@@ -74,7 +74,7 @@ class DQNAgent:
     ) -> None:
         """``buffer`` optionally injects a replay implementation (e.g.
         :class:`repro.rl.prioritized.PrioritizedReplayBuffer`); anything
-        with push/sample_batch returning a
+        with bind_fixed_block/push/sample_batch returning a
         :class:`~repro.rl.replay.TransitionBatch` — and optionally
         last_sample_weights / update_priorities for prioritized variants —
         works.
@@ -185,6 +185,7 @@ class DQNAgent:
     def train_episode(self, env: AllocationEnv) -> float:
         """Collect one episode into replay, training as transitions arrive."""
         state = env.reset()
+        self.buffer.bind_fixed_block(*env.fixed_block())
         episode_return = 0.0
         while not env.done:
             feasible = env.feasible_actions()

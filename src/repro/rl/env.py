@@ -120,6 +120,16 @@ class AllocationEnv:
         """Fixed-length observation: selection state ++ geometry ++ budgets."""
         return self._state.copy()
 
+    def fixed_block(self) -> tuple[slice, np.ndarray]:
+        """The observation columns no step changes, and their values.
+
+        That is the geometry block ``[n, 4n)`` (normalized importance,
+        times, resources); replay buffers store it once
+        (:meth:`repro.rl.replay.ReplayBuffer.bind_fixed_block`).
+        """
+        n = self.n_tasks
+        return slice(n, 4 * n), self._state[n : 4 * n].copy()
+
     # ------------------------------------------------------------------
     def _rescan_fits(self) -> None:
         """Full candidate rescan — only needed when the processor changes."""
@@ -345,6 +355,12 @@ class BatchedAllocationEnv:
     def state_rows(self, rows) -> np.ndarray:
         """Copies of the given episodes' observations, stacked."""
         return self._state[np.asarray(rows, dtype=int)]
+
+    def fixed_block(self, row: int) -> tuple[slice, np.ndarray]:
+        """Episode ``row``'s fixed geometry block (see
+        :meth:`AllocationEnv.fixed_block`)."""
+        n = self.n_tasks
+        return slice(n, 4 * n), self._state[row, n : 4 * n].copy()
 
     def feasible_row(self, row: int) -> np.ndarray:
         """Feasible action indices for episode ``row`` (close index last) —

@@ -72,6 +72,11 @@ class PrioritizedReplayBuffer:
         return len(self._storage)
 
     # ------------------------------------------------------------------
+    def bind_fixed_block(self, columns: slice, values) -> None:
+        """Store the state columns ``columns`` once (see
+        :meth:`repro.rl.replay.ReplayBuffer.bind_fixed_block`)."""
+        self._storage.bind_fixed_block(columns, values)
+
     def push(self, transition: Transition) -> None:
         """Insert with maximal priority (every transition gets one look)."""
         index = self._storage.push(transition)

@@ -11,6 +11,15 @@ trainer's path); both write through the same ring slot, so the sampled
 batches are byte-identical. Training gets its batch matrices from
 :meth:`ReplayBuffer.sample_batch` by fancy-indexing the columns, with
 no per-transition restacking of Python objects per gradient step.
+
+A buffer filled from one environment may be bound to that
+environment's *fixed block* (:meth:`ReplayBuffer.bind_fixed_block`):
+the observation columns that never change within the environment (the
+allocation env's normalized importance, times and resources). The
+block is then held once per buffer and each state row stores only the
+remaining columns; gathers splice the block back in, so sampled rows
+are bit-for-bit the pushed ones. An unbound buffer holds a zero-width
+block and keeps full rows through the same code.
 """
 
 from __future__ import annotations
@@ -27,6 +36,10 @@ from repro.utils.rng import as_rng
 _INITIAL_ROWS = 256
 
 _COLUMNS = ("_states", "_next_states", "_actions", "_rewards", "_dones", "_feasible_mask")
+
+#: The fixed block of a buffer never bound to one.
+_NO_BLOCK = np.empty(0)
+_NO_BLOCK.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,12 @@ class TransitionBatch:
 
 
 class _SoAStorage:
-    """Ring-indexed column store shared by the uniform and prioritized buffers."""
+    """Ring-indexed column store shared by the uniform and prioritized buffers.
+
+    State columns hold each row minus the fixed block
+    ``[block_start, block_start + block.size)``; the block itself is
+    stored once (zero-width until :meth:`bind_fixed_block`).
+    """
 
     def __init__(self, capacity: int, *, n_actions: int) -> None:
         if capacity < 1:
@@ -79,21 +97,44 @@ class _SoAStorage:
         self._size = 0
         self._cursor = 0
         self._rows = 0
+        self._state_dim = 0
         self._states: np.ndarray | None = None
         self._next_states: np.ndarray | None = None
         self._actions: np.ndarray | None = None
         self._rewards: np.ndarray | None = None
         self._dones: np.ndarray | None = None
         self._feasible_mask: np.ndarray | None = None
+        self._block_start = 0
+        self._block = _NO_BLOCK
 
     def __len__(self) -> int:
         return self._size
 
+    def bind_fixed_block(self, columns: slice, values) -> None:
+        """See :meth:`ReplayBuffer.bind_fixed_block`."""
+        values = np.array(values, dtype=float).ravel()
+        start = columns.start or 0
+        if columns.step not in (None, 1) or start < 0 or columns.stop != start + values.size:
+            raise DataError(f"fixed block {columns} does not span its {values.size} values")
+        if self._block.size:
+            if start != self._block_start or not np.array_equal(values, self._block):
+                raise DataError("replay buffer is already bound to a different fixed block")
+            return
+        if self._states is not None:
+            raise DataError("cannot bind a fixed block after rows are stored")
+        values.flags.writeable = False
+        self._block_start = start
+        self._block = values
+
     # ------------------------------------------------------------------
     def _allocate(self, state_dim: int, rows: int) -> None:
+        if self._block_start + self._block.size > state_dim:
+            raise DataError(f"fixed block ends past the state dim {state_dim}")
         self._rows = rows
-        self._states = np.empty((rows, state_dim), dtype=float)
-        self._next_states = np.empty((rows, state_dim), dtype=float)
+        self._state_dim = state_dim
+        stored_dim = state_dim - self._block.size
+        self._states = np.empty((rows, stored_dim), dtype=float)
+        self._next_states = np.empty((rows, stored_dim), dtype=float)
         self._actions = np.empty(rows, dtype=int)
         self._rewards = np.empty(rows, dtype=float)
         self._dones = np.empty(rows, dtype=bool)
@@ -130,12 +171,17 @@ class _SoAStorage:
         state; it is copied, not kept. Returns the row written.
         """
         state = np.asarray(state, dtype=float)
+        next_state = np.asarray(next_state, dtype=float)
         if self._states is None:
             self._allocate(state.size, min(self.capacity, _INITIAL_ROWS))
-        elif state.size != self._states.shape[1]:
+        if not state.size == next_state.size == self._state_dim:
             raise DataError(
-                f"state dim {state.size} != stored dim {self._states.shape[1]}"
+                f"state dims {state.size}/{next_state.size} != stored dim {self._state_dim}"
             )
+        start, stop = self._block_start, self._block_start + self._block.size
+        block = self._block
+        if (state[start:stop] != block).any() or (next_state[start:stop] != block).any():
+            raise DataError("pushed state does not carry the buffer's fixed block")
         if self._size < self.capacity:
             index = self._size
             if index >= self._rows:
@@ -144,8 +190,10 @@ class _SoAStorage:
         else:
             index = self._cursor
         self._cursor = (self._cursor + 1) % self.capacity
-        self._states[index] = state
-        self._next_states[index] = next_state
+        self._states[index, :start] = state[:start]
+        self._states[index, start:] = state[stop:]
+        self._next_states[index, :start] = next_state[:start]
+        self._next_states[index, start:] = next_state[stop:]
         self._actions[index] = action
         self._rewards[index] = reward
         self._dones[index] = done
@@ -153,12 +201,28 @@ class _SoAStorage:
         return index
 
     # ------------------------------------------------------------------
+    def _gather_rows(self, columns: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
+        """Full state rows into ``out``: stored columns around the block.
+
+        The rows are fancy-indexed into a contiguous temporary first:
+        ``take`` into a strided slice of ``out`` is ~15x slower.
+        """
+        start, stop = self._block_start, self._block_start + self._block.size
+        stored = columns[indices]
+        out[:, :start] = stored[:, :start]
+        out[:, start:stop] = self._block
+        out[:, stop:] = stored[:, start:]
+
     def gather_batch(self, indices: np.ndarray) -> TransitionBatch:
+        shape = (len(indices), self._state_dim)
+        states, next_states = np.empty(shape), np.empty(shape)
+        self._gather_rows(self._states, indices, states)
+        self._gather_rows(self._next_states, indices, next_states)
         return TransitionBatch(
-            states=self._states[indices],
+            states=states,
             actions=self._actions[indices],
             rewards=self._rewards[indices],
-            next_states=self._next_states[indices],
+            next_states=next_states,
             dones=self._dones[indices],
             feasible_mask=self._feasible_mask[indices],
         )
@@ -167,15 +231,15 @@ class _SoAStorage:
         """Gather the indexed rows into preallocated column buffers.
 
         ``out`` is a ``(states, actions, rewards, next_states, dones,
-        feasible_mask)`` tuple of arrays shaped like one batch; each
-        ``np.take`` lands the same values fancy indexing would, without
-        allocating.
+        feasible_mask)`` tuple of arrays shaped like one batch; every
+        column lands the same values :meth:`gather_batch` returns, and
+        only the stored state rows pass through a temporary.
         """
         states, actions, rewards, next_states, dones, feasible_mask = out
-        self._states.take(indices, axis=0, out=states)
+        self._gather_rows(self._states, indices, states)
         self._actions.take(indices, axis=0, out=actions)
         self._rewards.take(indices, axis=0, out=rewards)
-        self._next_states.take(indices, axis=0, out=next_states)
+        self._gather_rows(self._next_states, indices, next_states)
         self._dones.take(indices, axis=0, out=dones)
         self._feasible_mask.take(indices, axis=0, out=feasible_mask)
 
@@ -203,6 +267,18 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return len(self._storage)
+
+    def bind_fixed_block(self, columns: slice, values) -> None:
+        """Hold the state columns ``columns`` once, as ``values``.
+
+        Call it before the first push with an environment's
+        ``fixed_block()``; rows then store only the other columns.
+        Every pushed state and next state must carry ``values`` there.
+        Binding the bound block again is a no-op; binding a different
+        one, or binding after unbound rows were stored, raises
+        :class:`~repro.errors.DataError`.
+        """
+        self._storage.bind_fixed_block(columns, values)
 
     def push(self, transition: Transition) -> None:
         self._storage.push(transition)

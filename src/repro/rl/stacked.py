@@ -107,6 +107,8 @@ class LockstepTrainer:
         agents = self.agents
         count = len(agents)
         env = BatchedAllocationEnv(self.problems)
+        for a, agent in enumerate(agents):
+            agent.buffer.bind_fixed_block(*env.fixed_block(a))
         online_stack: StackedNetworks | None = None
         target_stack: StackedNetworks | None = None
         joint_stack: StackedNetworks | None = None

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from repro.rl.crl import (
     train_allocation_agents_stacked,
 )
 from repro.rl.dqn import DQNConfig
+from repro.tatim.cache import AllocationCache, use_allocation_cache
 from repro.tatim.generators import random_instance
+from repro.telemetry import MetricsRegistry, use_registry
 
 
 @pytest.fixture
@@ -150,6 +153,63 @@ class TestCRLModel:
         # under A's importance as under B's in most cases; assert it is
         # non-trivial under its own regime.
         assert value_a_under_a > 0.0
+
+
+def _regime_store() -> EnvironmentStore:
+    """The two-regime store of the ``store`` fixture, rebuilt from a fixed seed."""
+    rng = np.random.default_rng(3)
+    bases = [np.abs(rng.normal(size=8)) for _ in range(2)]
+    store = EnvironmentStore()
+    for i in range(16):
+        store.add(
+            rng.normal(8.0 * (i % 2), 0.3, size=4),
+            bases[i % 2] * (1 + 0.1 * rng.normal(size=8)),
+        )
+    return store
+
+
+def _rollouts_total(registry: MetricsRegistry) -> float:
+    for family in registry.families():
+        if family.name == "repro_rl_crl_rollouts_total":
+            return float(sum(child.value for child in family.children.values()))
+    return 0.0
+
+
+class TestCacheKeyedByModel:
+    """Two models fitted on equal stores must not answer from each
+    other's cached allocations."""
+
+    QUERIES = [np.zeros(4), np.full(4, 8.0), np.zeros(4) + 0.01]
+
+    @staticmethod
+    def _model(geometry, mode, **overrides) -> CRLModel:
+        kwargs = dict(
+            mode=mode,
+            n_clusters=2,
+            episodes=4,
+            dqn_config=DQNConfig(hidden_sizes=(8,)),
+            seed=1,
+        )
+        kwargs.update(overrides)
+        return CRLModel(geometry, **kwargs).fit(_regime_store())
+
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    @pytest.mark.parametrize("difference", [{"seed": 2}, {"episodes": 7}])
+    def test_second_model_runs_its_own_rollouts(self, geometry, mode, difference):
+        uncached = self._model(geometry, mode, **difference).allocate_batch(self.QUERIES)
+        registry = MetricsRegistry()
+        with use_registry(registry), use_allocation_cache(AllocationCache()):
+            self._model(geometry, mode).allocate_batch(self.QUERIES)
+            before = _rollouts_total(registry)
+            second = self._model(geometry, mode, **difference).allocate_batch(self.QUERIES)
+            assert _rollouts_total(registry) > before
+        for got, expected in zip(second, uncached):
+            assert np.array_equal(got.matrix, expected.matrix)
+
+    def test_token_survives_pickling(self, geometry):
+        model = self._model(geometry, "offline")
+        assert pickle.loads(pickle.dumps(model))._cache_token == model._cache_token
+        assert self._model(geometry, "offline")._cache_token != model._cache_token
 
 
 class TestEnvironmentStoreCache:
